@@ -57,11 +57,12 @@ func NewIndexedEpochView(ix *trace.Index, epoch int64) EpochView {
 
 // NewColumnsEpochView assembles a view from caller-owned columns: the
 // epoch's latest-by-peer reports sorted by address, the aligned address
-// column, and the sorted distinct set of every visible peer. The live
-// incremental analyzer uses this to open the shared per-epoch kernel
-// over columns it maintained online; the columns must obey exactly the
-// invariants trace.Index guarantees (see buildIndex), or the
-// batch-equivalence contract is void. The view aliases the slices.
+// column, and the sorted distinct set of every visible peer.
+// AnalyzeStream and the live incremental analyzer use this to open the
+// shared per-epoch kernel over columns from trace.EpochColumns, the
+// builder behind trace.Index; columns from anywhere else must obey
+// exactly the same invariants, or the batch-equivalence contract is
+// void. The view aliases the slices.
 func NewColumnsEpochView(epoch int64, start time.Time, reports []trace.Report, addrs, all []isp.Addr) EpochView {
 	return EpochView{
 		Epoch:   epoch,

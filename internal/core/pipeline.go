@@ -218,12 +218,14 @@ type EpochMetrics struct {
 }
 
 // EpochScratch is the per-worker reusable state: the graph builders
-// whose index maps and edge arrays survive from epoch to epoch, and the
+// whose index maps and edge arrays survive from epoch to epoch, the
+// column builder AnalyzeStream assembles its epochs with, and the
 // worker's shard of the Fig. 1B day-distinct fold (merged after the
 // pool drains, so no lock serializes the hot loop).
 type EpochScratch struct {
 	active *graph.CSRBuilder
 	stable *graph.CSRBuilder
+	cols   *trace.EpochColumns
 	days   map[int64]*daySets
 }
 
@@ -234,6 +236,7 @@ func NewEpochScratch() *EpochScratch {
 	return &EpochScratch{
 		active: graph.NewCSRBuilder(),
 		stable: graph.NewCSRBuilder(),
+		cols:   trace.NewEpochColumns(),
 		days:   make(map[int64]*daySets),
 	}
 }
@@ -306,9 +309,18 @@ func analyzeViews(interval time.Duration, epochs []int64, view func(int64) Epoch
 			obs.ReportID{Epoch: e})
 	}
 
-	// Merge the worker shards. Set union commutes, so shard and map
-	// iteration order cannot leak into the merged counts.
-	mergeSpan := cfg.Tracer.Start("merge_days")
+	days := mergeDays(cfg.Tracer, scratches)
+	sp := cfg.Tracer.Start("assemble")
+	defer sp.End()
+	return assemble(interval, cfg, specs, outs, days)
+}
+
+// mergeDays unions the workers' shards of the day-distinct sets. Set
+// union commutes, so shard and map iteration order cannot leak into the
+// merged counts.
+func mergeDays(tr obs.Tracer, scratches []*EpochScratch) map[int64]*daySets {
+	sp := tr.Start("merge_days")
+	defer sp.End()
 	days := make(map[int64]*daySets)
 	for _, sc := range scratches {
 		for k, ds := range sc.days {
@@ -325,11 +337,7 @@ func analyzeViews(interval time.Duration, epochs []int64, view func(int64) Epoch
 			}
 		}
 	}
-	mergeSpan.End()
-
-	sp := cfg.Tracer.Start("assemble")
-	defer sp.End()
-	return assemble(interval, cfg, specs, outs, days)
+	return days
 }
 
 // foldDay adds one epoch's populations to its trace day's distinct sets.

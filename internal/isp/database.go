@@ -35,6 +35,15 @@ func (r Range) Size() uint64 {
 // outside China a single overseas code.
 type Database struct {
 	ranges []Range // sorted by Lo, non-overlapping
+
+	// Prefix index over the /16s the ranges span: for the k-th prefix
+	// after base, first[k] is the position of the first range ending at
+	// or after that prefix's first address. A lookup's answer lies in
+	// ranges[first[k]:first[k+1]+1], which is one or two ranges unless
+	// several ranges share a /16. first has one entry per spanned prefix
+	// plus a final len(ranges), and is nil for an empty database.
+	base  uint32
+	first []uint32
 }
 
 // Errors returned while constructing or decoding a database.
@@ -59,7 +68,29 @@ func NewDatabase(ranges []Range) (*Database, error) {
 				ErrOverlap, rs[i-1].Lo, rs[i-1].Hi, r.Lo, r.Hi)
 		}
 	}
-	return &Database{ranges: rs}, nil
+	db := &Database{ranges: rs}
+	db.buildPrefixIndex()
+	return db, nil
+}
+
+// buildPrefixIndex fills base and first in O(ranges + span).
+func (db *Database) buildPrefixIndex() {
+	rs := db.ranges
+	if len(rs) == 0 {
+		return
+	}
+	db.base = uint32(rs[0].Lo) >> 16
+	span := uint32(rs[len(rs)-1].Hi)>>16 - db.base + 1
+	db.first = make([]uint32, span+1)
+	i := 0
+	for k := range db.first {
+		// uint64, so the prefix after 255.255.0.0/16 does not wrap to 0.
+		start := uint64(db.base+uint32(k)) << 16
+		for i < len(rs) && uint64(rs[i].Hi) < start {
+			i++
+		}
+		db.first[k] = uint32(i)
+	}
 }
 
 // Lookup resolves an address to its ISP. Addresses not covered by any
@@ -67,11 +98,15 @@ func NewDatabase(ranges []Range) (*Database, error) {
 // UUSee's database did for out-of-China addresses, but the distinction is
 // preserved so tests can detect coverage gaps.
 func (db *Database) Lookup(a Addr) ISP {
-	// Open-coded binary search: Lookup runs once per visible peer per
-	// epoch, and the closure indirection of sort.Search is measurable
-	// there.
+	// Lookup runs for every visible peer and every partner-list entry of
+	// every epoch, so the /16 prefix index narrows the search to the few
+	// ranges touching a's prefix before the open-coded binary search.
+	k := uint32(a)>>16 - db.base // wraps past the span for a below base
+	if uint64(k)+1 >= uint64(len(db.first)) {
+		return Unknown
+	}
 	rs := db.ranges
-	lo, hi := 0, len(rs)
+	lo, hi := int(db.first[k]), int(db.first[k+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if rs[mid].Hi < a {

@@ -9,12 +9,13 @@
 // batch path: for every epoch the analyzer closes, its canonical
 // encoding (core.AppendCanonical) is byte-identical to what
 // core.BatchEpochMetrics produces for that epoch from the merged
-// sealed store. That holds because the analyzer reproduces the sealed
-// index's column semantics exactly — latest-report-by-peer dedup in
-// per-shard arrival order (sound because trace.ShardOf assigns each
-// address wholly to one shard), reporters sorted by address, visible
-// peers sorted and deduplicated — and then runs the very same
-// per-epoch kernel, core.AnalyzeEpochMetrics, over those columns.
+// sealed store. That holds because the analyzer builds each epoch's
+// columns with the sealed index's own builder, trace.EpochColumns —
+// latest-report-by-peer dedup in per-shard arrival order (sound because
+// trace.ShardOf assigns each address wholly to one shard), reporters
+// sorted by address, visible peers sorted and deduplicated — and then
+// runs the very same per-epoch kernel, core.AnalyzeEpochMetrics, over
+// those columns.
 //
 // Epoch close is watermark-driven: epoch e closes once every shard has
 // seen a report from an epoch strictly after e. Reports that arrive
@@ -29,7 +30,6 @@
 package live
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"slices"
 	"sync"
@@ -98,13 +98,11 @@ type ClosedEpoch struct {
 	Digest    [sha256.Size]byte
 }
 
-// inflight is one open epoch's accumulating column state: last report
-// per address in arrival order (slot tracks each address's position),
-// exactly mirroring the sealed index's dedup before its address sort.
+// inflight is one open epoch's accumulating column state: the sealed
+// index's own column builder, fed in arrival order.
 type inflight struct {
-	slot   map[isp.Addr]int32
-	latest []trace.Report
-	edges  int // total partner-list entries across latest
+	cols  *trace.EpochColumns
+	edges int // total partner-list entries across the held reports
 }
 
 // Analyzer maintains per-epoch topology state online. One mutex guards
@@ -132,6 +130,7 @@ type Analyzer struct {
 	closed        []*ClosedEpoch
 	index         int // finalization position, drives the heavy cadence
 	scratch       *core.EpochScratch
+	spareCols     []*trace.EpochColumns // builders of finalized epochs, for reuse
 	snapLabels    map[int64]string
 	stragglers    uint64
 	peersInFlight int
@@ -250,20 +249,17 @@ func (a *Analyzer) Observe(shard int, r trace.Report) {
 	}
 	fl := a.pending[epoch]
 	if fl == nil {
-		fl = &inflight{slot: make(map[isp.Addr]int32)}
+		fl = &inflight{cols: a.takeColumnsLocked()}
 		a.pending[epoch] = fl
 	}
-	if i, ok := fl.slot[r.Addr]; ok {
-		// Latest-by-peer dedup, last write wins: per-address order is
-		// the owning shard's arrival order, exactly like the sealed
-		// index over a merged store.
-		delta := len(r.Partners) - len(fl.latest[i].Partners)
+	// Latest-by-peer dedup, last write wins: per-address order is the
+	// owning shard's arrival order, exactly like the sealed index over a
+	// merged store.
+	if old, replaced := fl.cols.Add(r); replaced {
+		delta := len(r.Partners) - len(old.Partners)
 		fl.edges += delta
 		a.edgesInFlight += delta
-		fl.latest[i] = r
 	} else {
-		fl.slot[r.Addr] = int32(len(fl.latest))
-		fl.latest = append(fl.latest, r)
 		fl.edges += len(r.Partners)
 		a.peersInFlight++
 		a.edgesInFlight += len(r.Partners)
@@ -302,37 +298,35 @@ func (a *Analyzer) advanceLocked() {
 	}
 }
 
-// finalizeLocked closes one epoch: sorts the deduplicated reports into
-// the sealed index's column layout, runs the shared per-epoch kernel,
-// and appends the result (with its canonical encoding and digest) to
-// the closed series.
+// takeColumnsLocked returns a column builder for a newly opened epoch,
+// reusing a finalized epoch's buffers when one is spare.
+func (a *Analyzer) takeColumnsLocked() *trace.EpochColumns {
+	if n := len(a.spareCols); n > 0 {
+		c := a.spareCols[n-1]
+		a.spareCols = a.spareCols[:n-1]
+		return c
+	}
+	return trace.NewEpochColumns()
+}
+
+// finalizeLocked closes one epoch: builds the sealed index's column
+// layout from the deduplicated reports, runs the shared per-epoch
+// kernel, and appends the result (with its canonical encoding and
+// digest) to the closed series.
 func (a *Analyzer) finalizeLocked(epoch int64) {
 	fl := a.pending[epoch]
 	delete(a.pending, epoch)
-	if fl == nil || len(fl.latest) == 0 {
+	if fl == nil {
 		return
 	}
 	var t0 int64
 	if a.nowNanos != nil {
 		t0 = a.nowNanos()
 	}
-	a.peersInFlight -= len(fl.latest)
+	a.peersInFlight -= fl.cols.Len()
 	a.edgesInFlight -= fl.edges
 
-	latest := fl.latest
-	slices.SortFunc(latest, func(x, y trace.Report) int { return cmp.Compare(x.Addr, y.Addr) })
-	addrs := make([]isp.Addr, len(latest))
-	all := make([]isp.Addr, 0, len(latest)*4)
-	for i := range latest {
-		addrs[i] = latest[i].Addr
-		all = append(all, latest[i].Addr)
-		for _, p := range latest[i].Partners {
-			all = append(all, p.Addr)
-		}
-	}
-	slices.Sort(all)
-	all = slices.Compact(all)
-
+	latest, addrs, all := fl.cols.Columns()
 	start := time.Unix(0, epoch*int64(a.interval)).UTC()
 	v := core.NewColumnsEpochView(epoch, start, latest, addrs, all)
 	heavy := a.index%a.cfg.HeavyEveryN == 0
@@ -348,6 +342,8 @@ func (a *Analyzer) finalizeLocked(epoch int64) {
 		Canonical: canon,
 		Digest:    sha256.Sum256(canon),
 	})
+	fl.cols.Reset()
+	a.spareCols = append(a.spareCols, fl.cols)
 	if a.finalizeHist != nil && a.nowNanos != nil {
 		a.finalizeHist.Observe(float64(a.nowNanos()-t0) / 1e9)
 	}
@@ -432,7 +428,7 @@ func (a *Analyzer) inFlightLocked() []InFlightEpoch {
 		out[i] = InFlightEpoch{
 			Epoch: e,
 			Start: time.Unix(0, e*int64(a.interval)).UTC(),
-			Peers: len(fl.latest),
+			Peers: fl.cols.Len(),
 			Edges: fl.edges,
 		}
 	}

@@ -11,12 +11,12 @@ import (
 )
 
 // Index is an immutable, columnar view of a Store's epochs, built once
-// by Store.Seal. For every epoch it precomputes the deduplicated
-// latest-by-peer report list sorted by address, the matching address
-// column, and the sorted set of all visible peers (reporters plus their
-// partners). Analyzers consume these as shared sub-slices, so assembling
-// a per-epoch view costs no allocation and no re-sorting — the
-// zero-rebuild contract behind core.Analyze's hot path.
+// by Store.Seal. For every epoch it holds EpochColumns' output: the
+// deduplicated latest-by-peer report list sorted by address, the
+// matching address column, and the sorted set of all visible peers
+// (reporters plus their partners). Analyzers consume these as shared
+// sub-slices, so assembling a per-epoch view costs no allocation and no
+// re-sorting — the zero-rebuild contract behind core.Analyze's hot path.
 //
 // All slices returned by Index methods alias the index's backing arrays
 // and must be treated as read-only.
@@ -50,29 +50,18 @@ func (s *Store) Seal() *Index {
 	return s.idx
 }
 
-// buildIndex does the one-time columnar precompute. Dedup keeps the
-// last-submitted report per peer, matching Store.LatestByPeer. When a
-// journal is attached it records the seal plane's verdicts: superseded
-// for every report the latest-by-peer dedup replaced (in arrival order)
-// and indexed for every report that made the index (in address order) —
-// both deterministic, since epochs are walked sorted and each epoch's
-// reports sit in arrival order.
+// buildIndex does the one-time columnar precompute, one EpochColumns
+// pass per epoch. When a journal is attached it records the seal plane's
+// verdicts: superseded for every report the latest-by-peer dedup replaced
+// (in arrival order) and indexed for every report that made the index (in
+// address order) — both deterministic, since epochs are walked sorted and
+// each epoch's reports sit in arrival order.
 func buildIndex(interval time.Duration, epochs map[int64][]Report, j *obs.Journal) *Index {
 	keys := make([]int64, 0, len(epochs))
-	total, maxLatest, maxVisible := 0, 0, 0
+	total := 0
 	for e, reports := range epochs {
 		keys = append(keys, e)
 		total += len(reports)
-		// Size the per-epoch scratch buffers to the worst epoch up
-		// front: maxLatest bounds the dedup buffer (before dedup),
-		// maxVisible bounds reporters plus everyone on their partner
-		// lists, so the loop below never grows either slice.
-		visible := len(reports)
-		for k := range reports {
-			visible += len(reports[k].Partners)
-		}
-		maxLatest = max(maxLatest, len(reports))
-		maxVisible = max(maxVisible, visible)
 	}
 	slices.Sort(keys)
 
@@ -86,51 +75,96 @@ func buildIndex(interval time.Duration, epochs map[int64][]Report, j *obs.Journa
 		allOff:   make([]int, len(keys)+1),
 	}
 
-	slot := make(map[isp.Addr]int32)
-	latest := make([]Report, 0, maxLatest)
-	all := make([]isp.Addr, 0, maxVisible)
-	byAddr := func(a, b Report) int { return cmp.Compare(a.Addr, b.Addr) }
+	cols := NewEpochColumns()
 	for i, e := range keys {
 		ix.pos[e] = i
-
-		// Latest-by-peer dedup in arrival order, then sort by address.
-		clear(slot)
-		latest = latest[:0]
+		cols.Reset()
 		for k := range epochs[e] {
-			r := epochs[e][k]
-			if n, ok := slot[r.Addr]; ok {
-				j.Record(latest[n].Time.UnixNano(), obs.StageSeal, obs.VerdictSuperseded,
-					journalID(&latest[n], interval))
-				latest[n] = r
-			} else {
-				slot[r.Addr] = int32(len(latest))
-				latest = append(latest, r)
+			if old, ok := cols.Add(epochs[e][k]); ok {
+				j.Record(old.Time.UnixNano(), obs.StageSeal, obs.VerdictSuperseded,
+					journalID(&old, interval))
 			}
 		}
-		slices.SortFunc(latest, byAddr)
-		ix.reports = append(ix.reports, latest...)
+		latest, addrs, all := cols.Columns()
 		for k := range latest {
-			ix.addrs = append(ix.addrs, latest[k].Addr)
 			j.Record(latest[k].Time.UnixNano(), obs.StageSeal, obs.VerdictIndexed,
 				journalID(&latest[k], interval))
 		}
+		ix.reports = append(ix.reports, latest...)
+		ix.addrs = append(ix.addrs, addrs...)
 		ix.offsets[i+1] = len(ix.reports)
-
-		// All visible peers: reporters plus everyone on their partner
-		// lists, sorted and deduplicated.
-		all = all[:0]
-		for j := range latest {
-			all = append(all, latest[j].Addr)
-			for _, p := range latest[j].Partners {
-				all = append(all, p.Addr)
-			}
-		}
-		slices.Sort(all)
-		ix.all = append(ix.all, slices.Compact(all)...)
+		ix.all = append(ix.all, all...)
 		ix.allOff[i+1] = len(ix.all)
 	}
 	return ix
 }
+
+// EpochColumns builds one epoch's columns in the sealed index's layout
+// from the epoch's reports, fed in arrival order. It is the only column
+// builder: Seal builds every Index epoch with it, and the streaming and
+// live analyzers build their per-epoch views with it, which is what keeps
+// their per-epoch outputs byte-identical to the sealed index's.
+//
+// The builder owns its buffers and reuses them across Reset, so one
+// builder serves any number of sequential epochs without reallocating.
+// It is not safe for concurrent use.
+type EpochColumns struct {
+	slot   map[isp.Addr]int32 // address → position in latest
+	latest []Report
+	addrs  []isp.Addr
+	all    []isp.Addr
+}
+
+// NewEpochColumns returns an empty builder.
+func NewEpochColumns() *EpochColumns {
+	return &EpochColumns{slot: make(map[isp.Addr]int32)}
+}
+
+// Reset empties the builder for the next epoch, keeping its buffers.
+func (c *EpochColumns) Reset() {
+	clear(c.slot)
+	clear(c.latest) // drop the previous epoch's partner lists
+	c.latest = c.latest[:0]
+}
+
+// Add folds in the epoch's next report. A report from an address already
+// held replaces the held one — the last submitted report wins, as in
+// Store.LatestByPeer — and Add returns the superseded report and true.
+// Reports must not be added after Columns until the next Reset.
+func (c *EpochColumns) Add(r Report) (superseded Report, ok bool) {
+	if n, dup := c.slot[r.Addr]; dup {
+		superseded, c.latest[n] = c.latest[n], r
+		return superseded, true
+	}
+	c.slot[r.Addr] = int32(len(c.latest))
+	c.latest = append(c.latest, r)
+	return Report{}, false
+}
+
+// Len returns the number of distinct reporting peers added since Reset.
+func (c *EpochColumns) Len() int { return len(c.latest) }
+
+// Columns sorts the held reports by address and returns the epoch's
+// columns: the latest report per peer, the aligned address column, and
+// the sorted distinct set of every visible peer (reporters plus everyone
+// on their partner lists). The slices alias the builder's buffers; they
+// are read-only and valid until the next Reset.
+func (c *EpochColumns) Columns() (reports []Report, addrs, all []isp.Addr) {
+	slices.SortFunc(c.latest, compareAddr)
+	c.addrs, c.all = c.addrs[:0], c.all[:0]
+	for i := range c.latest {
+		c.addrs = append(c.addrs, c.latest[i].Addr)
+		c.all = append(c.all, c.latest[i].Addr)
+		for _, p := range c.latest[i].Partners {
+			c.all = append(c.all, p.Addr)
+		}
+	}
+	slices.Sort(c.all)
+	c.all = slices.Compact(c.all)
+	return c.latest, c.addrs, c.all
+}
+
+func compareAddr(a, b Report) int { return cmp.Compare(a.Addr, b.Addr) }
 
 // Interval returns the epoch width.
 func (ix *Index) Interval() time.Duration { return ix.interval }

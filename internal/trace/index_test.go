@@ -118,3 +118,53 @@ func TestSealCachesUntilSubmit(t *testing.T) {
 		t.Error("old index mutated by Submit")
 	}
 }
+
+// TestEpochColumnsReuse builds every epoch of indexStore with one
+// builder, warmed by a wider epoch so each build runs over stale
+// buffers, and checks the columns against the sealed index and the
+// superseded reports Add hands back: exactly the first round's, in
+// arrival order.
+func TestEpochColumnsReuse(t *testing.T) {
+	s := indexStore(t)
+	ix := s.Seal()
+	c := NewEpochColumns()
+	wide := sampleReport(5555, _t0)
+	wide.Partners = append(wide.Partners, PartnerRecord{Addr: 4242})
+	for _, r := range append(s.Snapshot(ix.Epochs()[0]).Reports, wide) {
+		c.Add(r)
+	}
+	c.Columns()
+
+	for _, e := range ix.Epochs() {
+		raw := s.Snapshot(e).Reports
+		c.Reset()
+		var superseded []uint32
+		for _, r := range raw {
+			if old, ok := c.Add(r); ok {
+				if old.Addr != r.Addr {
+					t.Fatalf("epoch %d: Add(%v) superseded %v", e, r.Addr, old.Addr)
+				}
+				superseded = append(superseded, old.PlayPoint)
+			}
+		}
+		if c.Len() != len(raw)-len(superseded) {
+			t.Errorf("epoch %d: Len %d, want %d", e, c.Len(), len(raw)-len(superseded))
+		}
+		for k, pp := range superseded {
+			if want := raw[k].PlayPoint; pp != want {
+				t.Errorf("epoch %d: superseded #%d has PlayPoint %d, want %d", e, k, pp, want)
+			}
+		}
+		reports, addrs, all := c.Columns()
+		if !slices.Equal(addrs, ix.Reporters(e)) || !slices.Equal(all, ix.AllPeers(e)) {
+			t.Fatalf("epoch %d: addrs %v all %v, index has %v and %v",
+				e, addrs, all, ix.Reporters(e), ix.AllPeers(e))
+		}
+		for k, want := range ix.Reports(e) {
+			if got := reports[k]; got.Addr != want.Addr || got.PlayPoint != want.PlayPoint {
+				t.Errorf("epoch %d row %d: %v/%d, index has %v/%d",
+					e, k, got.Addr, got.PlayPoint, want.Addr, want.PlayPoint)
+			}
+		}
+	}
+}
