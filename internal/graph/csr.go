@@ -5,17 +5,14 @@ import (
 	"slices"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
+	"github.com/magellan-p2p/magellan/internal/radix"
 )
 
 // packEdge encodes a directed edge as from<<32|to. Node indices are
 // non-negative int32s, so unsigned comparison of packed edges orders by
-// (from asc, to asc) — letting Build sort with the ordered (non-reflective,
-// non-comparator) sort path.
+// (from asc, to asc) — letting Build sort edges as plain integers with
+// radix.Sort.
 func packEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
-
-// swapEdge flips a packed edge to to<<32|from, so the same ordered sort
-// yields (to asc, from asc) for the in-list pass.
-func swapEdge(e uint64) uint64 { return e<<32 | e>>32 }
 
 // CSRBuilder builds Digraphs through reusable scratch buffers — the
 // node-index map and the edge arrays survive Build and are recycled by
@@ -35,55 +32,9 @@ type CSRBuilder struct {
 	ids   []isp.Addr
 	edges []uint64
 
-	byTo   []uint64 // scratch: deduped edges re-packed as (to, from)
-	radix  []uint64 // scratch: ping-pong buffer for radix sorting
-	outDeg []int32
-	inDeg  []int32
-}
-
-// sortEdges sorts packed edges ascending, via an LSD radix sort for
-// large inputs (reusing sc's ping-pong buffer) and the standard ordered
-// sort otherwise. Both produce the identical total order on uint64.
-func (b *CSRBuilder) sortEdges(a []uint64) []uint64 {
-	if len(a) < 128 {
-		slices.Sort(a)
-		return a
-	}
-	if cap(b.radix) < len(a) {
-		b.radix = make([]uint64, len(a))
-	}
-	buf := b.radix[:len(a)]
-	// Bytes that are zero across every key (the high bytes of both node
-	// indices, for realistically sized graphs) need no pass.
-	var or uint64
-	for _, e := range a {
-		or |= e
-	}
-	var counts [256]int
-	for shift := 0; shift < 64; shift += 8 {
-		if (or>>shift)&0xff == 0 {
-			continue
-		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, e := range a {
-			counts[(e>>shift)&0xff]++
-		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, e := range a {
-			d := (e >> shift) & 0xff
-			buf[counts[d]] = e
-			counts[d]++
-		}
-		a, buf = buf, a
-	}
-	return a
+	scratch []uint64 // scratch: radix.Sort's ping-pong buffer
+	outDeg  []int32
+	inDeg   []int32
 }
 
 // NewCSRBuilder returns an empty builder ready for Reset.
@@ -135,12 +86,12 @@ func (b *CSRBuilder) AddEdge(from, to isp.Addr) {
 // the next Reset. The returned Digraph owns fresh arrays and does not
 // alias the builder.
 func (b *CSRBuilder) Build() *Digraph {
-	edges := slices.Compact(b.sortEdges(b.edges))
-	return buildCSR(slices.Clone(b.ids), edges, b)
+	b.edges = radix.Sort(b.edges, &b.scratch)
+	return buildCSR(slices.Clone(b.ids), slices.Compact(b.edges), b)
 }
 
 // buildCSR assembles a Digraph from ids and deduped packed edges sorted
-// by (from, to), using sc's degree and byTo scratch (sc may own edges).
+// by (from, to), using sc's degree scratch (sc may own edges).
 func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
 	n := len(ids)
 	m := len(edges)
@@ -181,14 +132,9 @@ func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
 		outFlat[i] = int32(uint32(e))
 	}
 
-	// In lists: re-sort a swapped scratch copy and cut the same way.
-	// (edges is fully consumed above, so the radix ping-pong buffer —
-	// which may back it after an odd pass count — is free to reuse.)
-	sc.byTo = sc.byTo[:0]
-	for _, e := range edges {
-		sc.byTo = append(sc.byTo, swapEdge(e))
-	}
-	byTo := sc.sortEdges(sc.byTo)
+	// In lists: cut a second flat array the same way, then scatter each
+	// edge's source into its target's list. Edges arrive in source order,
+	// so every list fills in ascending order with no second sort.
 	inFlat := make([]int32, m)
 	off = 0
 	for i := 0; i < n; i++ {
@@ -196,10 +142,13 @@ func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
 		if d > 0 {
 			g.in[i] = inFlat[off : off+d : off+d]
 		}
+		inDeg[i] = int32(off) // from here on: node i's next free in-slot
 		off += d
 	}
-	for i, e := range byTo {
-		inFlat[i] = int32(uint32(e))
+	for _, e := range edges {
+		to := uint32(e)
+		inFlat[inDeg[to]] = int32(e >> 32)
+		inDeg[to]++
 	}
 	return g
 }

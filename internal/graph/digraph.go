@@ -178,32 +178,33 @@ func (g *Digraph) buildUndirected() {
 	if g.und != nil {
 		return
 	}
-	total := 0
+	// One flat array backs every list: a node's neighbours are at most
+	// its in- plus out-degree, 2m in total, so the appends never grow it.
+	flat := make([]int32, 0, 2*g.m)
 	g.und = make([][]int32, len(g.ids))
 	for i := range g.ids {
 		a, b := g.out[i], g.in[i]
-		merged := make([]int32, 0, len(a)+len(b))
+		start := len(flat)
 		x, y := 0, 0
 		for x < len(a) && y < len(b) {
 			switch {
 			case a[x] < b[y]:
-				merged = append(merged, a[x])
+				flat = append(flat, a[x])
 				x++
 			case a[x] > b[y]:
-				merged = append(merged, b[y])
+				flat = append(flat, b[y])
 				y++
 			default:
-				merged = append(merged, a[x])
+				flat = append(flat, a[x])
 				x++
 				y++
 			}
 		}
-		merged = append(merged, a[x:]...)
-		merged = append(merged, b[y:]...)
-		g.und[int32(i)] = merged
-		total += len(merged)
+		flat = append(flat, a[x:]...)
+		flat = append(flat, b[y:]...)
+		g.und[i] = flat[start:len(flat):len(flat)]
 	}
-	g.undM = total / 2
+	g.undM = len(flat) / 2
 }
 
 // InducedSubgraph keeps the nodes for which keep returns true and every

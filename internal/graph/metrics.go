@@ -2,6 +2,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -86,6 +87,17 @@ func (g *Digraph) ClusteringCoefficient() float64 {
 // the undirected graph, ignoring unreachable pairs. If samples <= 0 or
 // samples >= N, every node is used as a BFS source (exact); otherwise
 // `samples` sources are drawn without replacement using rng.
+//
+// The sources run as one bit-parallel breadth-first search per batch of
+// 64 (Then et al., "The More the Merrier", VLDB 2014). Bit b of a node's
+// seen word says source b has reached it; bit b of its frontier word says
+// it did so on the previous level. Each level is one pull sweep over the
+// undirected adjacency: a node ORs its neighbours' frontier words and
+// keeps the bits it has not seen, and the sweep adds level × popcount(new
+// bits) to the distance sum. A bit first reaches a node on the level equal
+// to its distance from that source, so the integer sum and pair count
+// equal those of one search per source; both stay far below 2^53, so
+// their float64 quotient keeps every bit.
 func (g *Digraph) AveragePathLength(rng *rand.Rand, samples int) float64 {
 	n := g.N()
 	if n < 2 {
@@ -103,36 +115,49 @@ func (g *Digraph) AveragePathLength(rng *rand.Rand, samples int) float64 {
 		sources = sources[:samples]
 	}
 
-	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
-	var sum float64
-	var pairs int64
-	for _, s := range sources {
-		for i := range dist {
-			dist[i] = -1
+	g.buildUndirected()
+	words := make([]uint64, 3*n)
+	seen, frontier, next := words[:n:n], words[n:2*n:2*n], words[2*n:]
+	var sum, pairs int64
+	for len(sources) > 0 {
+		batch := sources[:min(64, len(sources))]
+		sources = sources[len(batch):]
+		full := ^uint64(0) >> (64 - len(batch))
+		clear(words)
+		for b, s := range batch {
+			seen[s] |= 1 << b
+			frontier[s] |= 1 << b
 		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			du := dist[u] + 1
-			for _, v := range g.Undirected(u) {
-				if dist[v] < 0 {
-					dist[v] = du
-					// Distances are small integers, so float64 addition is
-					// exact and summing in discovery order instead of a
-					// final index-order scan changes no output bit.
-					sum += float64(du)
-					pairs++
-					queue = append(queue, v)
+		for level := int64(1); ; level++ {
+			var found int64
+			for v, adj := range g.und {
+				if seen[v] == full {
+					next[v] = 0
+					continue
+				}
+				var reach uint64
+				for _, u := range adj {
+					reach |= frontier[u]
+				}
+				fresh := reach &^ seen[v]
+				next[v] = fresh
+				if fresh != 0 {
+					seen[v] |= fresh
+					found += int64(bits.OnesCount64(fresh))
 				}
 			}
+			if found == 0 {
+				break
+			}
+			sum += level * found
+			pairs += found
+			frontier, next = next, frontier
 		}
 	}
 	if pairs == 0 {
 		return 0
 	}
-	return sum / float64(pairs)
+	return float64(sum) / float64(pairs)
 }
 
 // Reciprocity returns the raw bilateral-edge fraction r of Eq. (1): the

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
+	"github.com/magellan-p2p/magellan/internal/radix"
 )
 
 // ErdosRenyiGM generates a directed G(n, m) random graph: m distinct
@@ -40,7 +41,7 @@ func ErdosRenyiGM(n, m int, rng *rand.Rand) *Digraph {
 		edges = append(edges, e)
 	}
 	b := new(CSRBuilder)
-	return buildCSR(ids, b.sortEdges(edges), b)
+	return buildCSR(ids, radix.Sort(edges, &b.scratch), b)
 }
 
 // RandomBaseline measures the clustering coefficient and average path

@@ -58,78 +58,86 @@ func AppendReport(buf []byte, r *Report) []byte {
 	return buf
 }
 
-// DecodeReport decodes one report payload produced by AppendReport.
-func DecodeReport(data []byte) (out Report, err error) {
-	br := bytes.NewReader(data)
+// errTruncated reports a payload that ends inside a field or holds an
+// over-long varint.
+var errTruncated = fmt.Errorf("%w: truncated field", ErrCorrupt)
 
-	// Short reads inside the field helpers abort decoding via a typed
-	// panic, converted back into ErrCorrupt here; any other panic is a
-	// bug and re-propagates.
-	defer func() {
-		if rec := recover(); rec != nil {
-			ec, ok := rec.(errCorrupt)
-			if !ok {
-				panic(rec)
-			}
-			err = fmt.Errorf("%w: %v", ErrCorrupt, ec.err)
-		}
-	}()
-
-	u := func() uint64 {
-		v, uerr := binary.ReadUvarint(br)
-		if uerr != nil {
-			panic(errCorrupt{uerr})
-		}
-		return v
+// DecodeReport decodes one report payload produced by AppendReport. It
+// reads the payload in place and allocates only the channel name and the
+// partner list, each after checking that the payload holds the bytes they
+// need, so a forged length costs no more memory than the payload itself.
+// Any input AppendReport could not have produced yields an error wrapping
+// ErrCorrupt and a zero Report.
+func DecodeReport(data []byte) (Report, error) {
+	var head [4]uint64 // time, address, port, channel length
+	rest, ok := uvarints(data, head[:])
+	if !ok {
+		return Report{}, errTruncated
 	}
-	f64 := func() uint64 {
-		var b [8]byte
-		if _, ferr := io.ReadFull(br, b[:]); ferr != nil {
-			panic(errCorrupt{ferr})
-		}
-		return binary.LittleEndian.Uint64(b[:])
+	n := head[3]
+	if n > _maxRecordSize || n > uint64(len(rest)) {
+		return Report{}, fmt.Errorf("%w: channel length %d with %d bytes left", ErrCorrupt, n, len(rest))
 	}
-	f := func() float64 { return math.Float64frombits(f64()) }
-
-	var r Report
-	r.Time = time.Unix(0, int64(u())).UTC()
-	r.Addr = isp.Addr(u())
-	r.Port = uint16(u())
-	n := u()
-	if n > _maxRecordSize {
-		return r, fmt.Errorf("%w: channel length %d", ErrCorrupt, n)
+	r := Report{
+		Time:    time.Unix(0, int64(head[0])).UTC(),
+		Addr:    isp.Addr(head[1]),
+		Port:    uint16(head[2]),
+		Channel: string(rest[:n]),
 	}
-	name := make([]byte, n)
-	if _, rerr := io.ReadFull(br, name); rerr != nil {
-		return r, fmt.Errorf("%w: channel bytes: %v", ErrCorrupt, rerr)
+	rest = rest[n:]
+	if len(rest) < 5*8 {
+		return Report{}, errTruncated
 	}
-	r.Channel = string(name)
-	r.UpKbps, r.DownKbps = f(), f()
-	r.RecvKbps, r.SentKbps = f(), f()
-	r.BufferMap = f64()
-	r.PlayPoint = uint32(u())
-	np := u()
-	if np > MaxPartnersPerReport {
-		return r, fmt.Errorf("%w: %d partners", ErrCorrupt, np)
+	le := binary.LittleEndian
+	r.UpKbps = math.Float64frombits(le.Uint64(rest))
+	r.DownKbps = math.Float64frombits(le.Uint64(rest[8:]))
+	r.RecvKbps = math.Float64frombits(le.Uint64(rest[16:]))
+	r.SentKbps = math.Float64frombits(le.Uint64(rest[24:]))
+	r.BufferMap = le.Uint64(rest[32:])
+	var tail [2]uint64 // play point, partner count
+	if rest, ok = uvarints(rest[5*8:], tail[:]); !ok {
+		return Report{}, errTruncated
+	}
+	r.PlayPoint = uint32(tail[0])
+	np := tail[1]
+	// Every partner takes at least four one-byte varints.
+	if np > MaxPartnersPerReport || np*4 > uint64(len(rest)) {
+		return Report{}, fmt.Errorf("%w: %d partners with %d bytes left", ErrCorrupt, np, len(rest))
 	}
 	if np > 0 {
 		r.Partners = make([]PartnerRecord, np)
 	}
+	var p [4]uint64 // address, port, sent, received
 	for i := range r.Partners {
+		if rest, ok = uvarints(rest, p[:]); !ok {
+			return Report{}, errTruncated
+		}
 		r.Partners[i] = PartnerRecord{
-			Addr:    isp.Addr(u()),
-			Port:    uint16(u()),
-			SentSeg: uint32(u()),
-			RecvSeg: uint32(u()),
+			Addr:    isp.Addr(p[0]),
+			Port:    uint16(p[1]),
+			SentSeg: uint32(p[2]),
+			RecvSeg: uint32(p[3]),
 		}
 	}
-	if br.Len() != 0 {
-		return r, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, br.Len())
+	if len(rest) != 0 {
+		return Report{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return r, nil
 }
 
-type errCorrupt struct{ err error }
+// uvarints decodes len(dst) consecutive uvarints from the front of b and
+// returns the bytes after them. ok is false if b ends inside them or one
+// is longer than a uint64.
+func uvarints(b []byte, dst []uint64) (rest []byte, ok bool) {
+	for k := range dst {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, false
+		}
+		dst[k], b = v, b[n:]
+	}
+	return b, true
+}
 
 // Writer streams reports in the binary format. It implements Sink.
 type Writer struct {

@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,9 +14,11 @@ import (
 // FuzzDecodeReport is the native fuzz target for the wire decoder. CI
 // runs it in smoke mode (`go test -run Fuzz ./internal/trace`, seed
 // corpus only); `go test -fuzz=FuzzDecodeReport ./internal/trace`
-// explores from there. Beyond not panicking, any accepted input must
-// survive a re-encode/re-decode round trip unchanged — the property the
-// epoch store relies on when it rewrites trace files.
+// explores from there. Beyond not panicking, DecodeReport must agree with
+// the reference decoder (the same report, or ErrCorrupt from both), and
+// any accepted input must survive a re-encode/re-decode round trip
+// unchanged — the property the epoch store relies on when it rewrites
+// trace files.
 func FuzzDecodeReport(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
@@ -37,7 +39,13 @@ func FuzzDecodeReport(f *testing.F) {
 	zero.Partners = nil
 	f.Add(AppendReport(nil, &zero))                       // zero-length partner list
 	f.Add(faults.TornTail(rng, AppendReport(nil, &zero))) // and its torn variant
+	f.Add(forgedChannelLength)                            // lengths the bytes cannot back
+	f.Add(forgedPartnerCount())
+	nan := base
+	nan.DownKbps = math.NaN()
+	f.Add(AppendReport(nil, &nan)) // a float no == accepts
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodersAgree(t, data)
 		rep, err := DecodeReport(data)
 		if err != nil {
 			return
@@ -49,7 +57,7 @@ func FuzzDecodeReport(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted report does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(rep, again) {
+		if !sameReport(rep, again) {
 			t.Fatalf("round trip changed the report:\n first: %+v\nsecond: %+v", rep, again)
 		}
 	})

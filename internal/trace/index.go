@@ -8,6 +8,7 @@ import (
 
 	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/obs"
+	"github.com/magellan-p2p/magellan/internal/radix"
 )
 
 // Index is an immutable, columnar view of a Store's epochs, built once
@@ -109,10 +110,11 @@ func buildIndex(interval time.Duration, epochs map[int64][]Report, j *obs.Journa
 // builder serves any number of sequential epochs without reallocating.
 // It is not safe for concurrent use.
 type EpochColumns struct {
-	slot   map[isp.Addr]int32 // address → position in latest
-	latest []Report
-	addrs  []isp.Addr
-	all    []isp.Addr
+	slot    map[isp.Addr]int32 // address → position in latest
+	latest  []Report
+	addrs   []isp.Addr
+	all     []isp.Addr
+	scratch []isp.Addr // radix.Sort's ping-pong buffer for all
 }
 
 // NewEpochColumns returns an empty builder.
@@ -147,8 +149,10 @@ func (c *EpochColumns) Len() int { return len(c.latest) }
 // Columns sorts the held reports by address and returns the epoch's
 // columns: the latest report per peer, the aligned address column, and
 // the sorted distinct set of every visible peer (reporters plus everyone
-// on their partner lists). The slices alias the builder's buffers; they
-// are read-only and valid until the next Reset.
+// on their partner lists). The peer column holds each address about ten
+// times over before deduplication, so it is radix-sorted. The slices
+// alias the builder's buffers; they are read-only and valid until the
+// next Reset.
 func (c *EpochColumns) Columns() (reports []Report, addrs, all []isp.Addr) {
 	slices.SortFunc(c.latest, compareAddr)
 	c.addrs, c.all = c.addrs[:0], c.all[:0]
@@ -159,8 +163,7 @@ func (c *EpochColumns) Columns() (reports []Report, addrs, all []isp.Addr) {
 			c.all = append(c.all, p.Addr)
 		}
 	}
-	slices.Sort(c.all)
-	c.all = slices.Compact(c.all)
+	c.all = slices.Compact(radix.Sort(c.all, &c.scratch))
 	return c.latest, c.addrs, c.all
 }
 
