@@ -158,7 +158,7 @@ func run(args []string) error {
 		}
 		journal = obs.NewJournal(2*len(events) + obs.DefaultJournalCapacity)
 		for _, ev := range events {
-			journal.Record(ev.At, ev.Stage, ev.Verdict, ev.ID)
+			journal.RecordShard(ev.At, ev.Stage, ev.Verdict, ev.ID, ev.Shard)
 		}
 		cfg.Journal = journal
 	}

@@ -6,7 +6,6 @@
 //	floatcmp     no exact equality between computed floats in metric code
 //	goroleak     no goroutine without a reachable stop path
 //	hotalloc     no per-iteration allocation in //magellan:hotpath loops
-//	locksafe     no copies of lock-bearing values
 //	lockspan     no mutex held across blocking ops (CFG dataflow)
 //	maporder     no map-iteration order leaking into output
 //	timetaint    no transitive ambient reads inside the simulator core
@@ -52,7 +51,6 @@ import (
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/floatcmp"
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/goroleak"
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/hotalloc"
-	"github.com/magellan-p2p/magellan/internal/analysis/passes/locksafe"
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/lockspan"
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/maporder"
 	"github.com/magellan-p2p/magellan/internal/analysis/passes/timetaint"
@@ -66,7 +64,6 @@ var analyzers = []*analysis.Analyzer{
 	floatcmp.Analyzer,
 	goroleak.Analyzer,
 	hotalloc.Analyzer,
-	locksafe.Analyzer,
 	lockspan.Analyzer,
 	maporder.Analyzer,
 	timetaint.Analyzer,

@@ -3,8 +3,7 @@
 // channel sends/receives/selects/ranges, network and file I/O,
 // time.Sleep, WaitGroup.Wait, and the measurement plane's Submit/Seal
 // boundaries (one slow peer behind a held ingest lock is a stalled
-// pipeline). It supersedes the statement-list heuristics that used to
-// live in locksafe: held-lock facts are propagated over the function's
+// pipeline). Held-lock facts are propagated over the function's
 // control-flow graph by the dataflow solver, so a Lock in one branch
 // is still held after the join, through loop back-edges, and across
 // any statement nesting.

@@ -74,35 +74,18 @@ func AppendCanonical(b []byte, m *EpochMetrics) []byte {
 	return b
 }
 
-// BatchEpochMetrics runs the batch pipeline's per-epoch kernel over a
-// sealed store, sequentially in ascending epoch order, and returns one
-// EpochMetrics per non-empty epoch. This is the reconciliation oracle
-// for the live analyzer, so it resolves config exactly as an online
-// analyzer must: HeavyEveryN defaults to the streaming cadence (the
-// epoch count is unknowable online, so the batch epochCount/240
-// default would never reconcile), snapshots are the configured specs
-// only (no short-trace fallback — picking fallback epochs needs the
-// full epoch list), and position i on the sorted epoch list is heavy
-// iff i % HeavyEveryN == 0. Same kernel, same columns: a live analyzer
-// that saw the same reports produces byte-identical AppendCanonical
-// output for every epoch it closed.
+// BatchEpochMetrics is the reconciliation oracle for the live analyzer:
+// one EpochMetrics per non-empty epoch of a sealed store, ascending, from
+// the sealed-index driver under the online policy (see onlineKernel) —
+// the streaming cadence by position on the sorted epoch list, and the
+// configured snapshot instants only. Same kernel, same columns: a live
+// analyzer that saw the same reports produces byte-identical
+// AppendCanonical output for every epoch it closed.
 func BatchEpochMetrics(store *trace.Store, db *isp.Database, cfg Config) ([]*EpochMetrics, error) {
 	ix := store.Seal()
-	epochs := ix.Epochs()
-	if len(epochs) == 0 {
+	if ix.NumEpochs() == 0 {
 		return nil, fmt.Errorf("core: trace store is empty")
 	}
-	if cfg.HeavyEveryN <= 0 {
-		cfg.HeavyEveryN = StreamingHeavyEveryN
-	}
-	cfg = cfg.sanitize(len(epochs))
-	snapLabels := SnapshotLabels(ix.Interval(), cfg.Snapshots)
-
-	sc := NewEpochScratch()
-	outs := make([]*EpochMetrics, len(epochs))
-	for i, e := range epochs {
-		heavy := i%cfg.HeavyEveryN == 0
-		outs[i] = AnalyzeEpochMetrics(NewIndexedEpochView(ix, e), db, cfg, heavy, snapLabels[e], sc)
-	}
+	outs, _ := runSealed(ix, onlineKernel(ix.Interval(), db, cfg))
 	return outs, nil
 }

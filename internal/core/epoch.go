@@ -55,53 +55,6 @@ func NewIndexedEpochView(ix *trace.Index, epoch int64) EpochView {
 	}
 }
 
-// NewColumnsEpochView assembles a view from caller-owned columns: the
-// epoch's latest-by-peer reports sorted by address, the aligned address
-// column, and the sorted distinct set of every visible peer.
-// AnalyzeStream and the live incremental analyzer use this to open the
-// shared per-epoch kernel over columns from trace.EpochColumns, the
-// builder behind trace.Index; columns from anywhere else must obey
-// exactly the same invariants, or the batch-equivalence contract is
-// void. The view aliases the slices.
-func NewColumnsEpochView(epoch int64, start time.Time, reports []trace.Report, addrs, all []isp.Addr) EpochView {
-	return EpochView{
-		Epoch:   epoch,
-		Start:   start,
-		reports: reports,
-		addrs:   addrs,
-		all:     all,
-	}
-}
-
-// legacyEpochView assembles the view straight from the store's epoch
-// buckets, the pre-index O(n log n) path: dedup into a map, then sort.
-// It exists so the pipeline-equivalence tests can prove the sealed index
-// changes nothing; it will be deleted once the index is the only path.
-func legacyEpochView(store *trace.Store, epoch int64) EpochView {
-	latest := store.LatestByPeer(epoch)
-	v := EpochView{
-		Epoch: epoch,
-		Start: store.EpochStart(epoch),
-	}
-	v.addrs = make([]isp.Addr, 0, len(latest))
-	for a := range latest {
-		v.addrs = append(v.addrs, a)
-	}
-	slices.Sort(v.addrs)
-	v.reports = make([]trace.Report, len(v.addrs))
-	all := make([]isp.Addr, 0, len(latest)*4)
-	for i, a := range v.addrs {
-		v.reports[i] = latest[a]
-		all = append(all, a)
-		for _, p := range latest[a].Partners {
-			all = append(all, p.Addr)
-		}
-	}
-	slices.Sort(all)
-	v.all = slices.Compact(all)
-	return v
-}
-
 // StableCount returns the number of stable (reporting) peers.
 func (v EpochView) StableCount() int { return len(v.reports) }
 

@@ -139,7 +139,7 @@ func firstDiff(t *testing.T, what string, a, b []byte) {
 
 // TestAnalyzeGoldenEquivalence is the PR's keystone test: the canonical
 // encoding of Analyze's output must be byte-identical across worker
-// counts and across the sealed-index vs legacy epoch-assembly paths.
+// counts.
 func TestAnalyzeGoldenEquivalence(t *testing.T) {
 	store, db := scaledTrace(t)
 
@@ -156,23 +156,15 @@ func TestAnalyzeGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze(workers=%d): %v", parallel.Workers, err)
 	}
-	resLegacy, err := analyzeLegacy(store, db, goldenConfig())
-	if err != nil {
-		t.Fatalf("analyzeLegacy: %v", err)
-	}
 
 	encSerial := encodeResults(resSerial)
 	encParallel := encodeResults(resParallel)
-	encLegacy := encodeResults(resLegacy)
 
 	if len(encSerial) < 1000 {
 		t.Fatalf("encoding suspiciously small (%d bytes); encoder broken?", len(encSerial))
 	}
 	if !bytes.Equal(encSerial, encParallel) {
 		firstDiff(t, "workers=1 vs workers=N", encSerial, encParallel)
-	}
-	if !bytes.Equal(encSerial, encLegacy) {
-		firstDiff(t, "sealed index vs legacy views", encSerial, encLegacy)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/graph"
@@ -51,7 +50,8 @@ type Config struct {
 	PathSamples int
 	// HeavyEveryN computes the small-world metrics on every Nth epoch
 	// (they are quadratic-ish); 0 picks a cadence that yields ≈ 240
-	// computed points.
+	// computed points for Analyze, and streamingHeavyEveryN for the
+	// drivers that cannot know the epoch count up front (see sanitize).
 	HeavyEveryN int
 	// Snapshots are the Fig. 4 instants; nil means DefaultSnapshots
 	// (instants outside the trace are skipped).
@@ -80,6 +80,16 @@ type Config struct {
 	Journal *obs.Journal
 }
 
+// streamingHeavyEveryN is the small-world cadence of the online policy,
+// used when Config leaves HeavyEveryN unset and the epoch count is
+// unknown: the batch default scales with the epoch count, which no
+// single-pass or live analyzer knows up front.
+const streamingHeavyEveryN = 6
+
+// sanitize defaults every unset knob. epochCount feeds the HeavyEveryN
+// default; 0 means the epoch count is unknown, which picks the streaming
+// cadence. Whichever driver runs an epoch, the one at send or close
+// position i is heavy iff i % HeavyEveryN == 0.
 func (c Config) sanitize(epochCount int) Config {
 	if c.ActiveThreshold == 0 {
 		c.ActiveThreshold = DefaultActiveThreshold
@@ -88,9 +98,9 @@ func (c Config) sanitize(epochCount int) Config {
 		c.PathSamples = 64
 	}
 	if c.HeavyEveryN <= 0 {
-		c.HeavyEveryN = epochCount / 240
-		if c.HeavyEveryN < 1 {
-			c.HeavyEveryN = 1
+		c.HeavyEveryN = streamingHeavyEveryN
+		if epochCount > 0 {
+			c.HeavyEveryN = max(epochCount/240, 1)
 		}
 	}
 	if c.Snapshots == nil {
@@ -115,24 +125,16 @@ func (c Config) sanitize(epochCount int) Config {
 	return c
 }
 
-// Sanitized returns the config with every unset knob defaulted, exactly
-// as Analyze applies them. epochCount feeds the HeavyEveryN cadence
-// default; a caller that cannot know the epoch count up front (the
-// streaming analyzers) picks an explicit cadence and passes 0. Batch and
-// streaming consumers must agree on the sanitized config for their
-// per-epoch outputs to be byte-identical.
-func (c Config) Sanitized(epochCount int) Config { return c.sanitize(epochCount) }
-
 // epochStartOf returns the instant an epoch begins, in UTC.
 func epochStartOf(interval time.Duration, epoch int64) time.Time {
 	return time.Unix(0, epoch*int64(interval)).UTC()
 }
 
-// SnapshotLabels maps each spec's epoch (instant over interval) to its
-// label — the lookup AnalyzeEpochMetrics keys Fig. 4 snapshot
-// production on. Later specs mapping to the same epoch win, matching
-// the historical map-build order.
-func SnapshotLabels(interval time.Duration, specs []SnapshotSpec) map[int64]string {
+// snapshotLabels maps each spec's epoch (instant over interval) to its
+// label — the lookup the kernel keys Fig. 4 snapshot production on.
+// Later specs mapping to the same epoch win, matching the historical
+// map-build order.
+func snapshotLabels(interval time.Duration, specs []SnapshotSpec) map[int64]string {
 	m := make(map[int64]string, len(specs))
 	for _, spec := range specs {
 		m[spec.Time.UnixNano()/int64(interval)] = spec.Label
@@ -169,8 +171,8 @@ func fallbackSnapshots(interval time.Duration, epochs []int64) []SnapshotSpec {
 // resolveSnapshots maps the configured snapshot instants onto the epochs
 // actually present. If none of the configured instants fall inside the
 // trace (short runs), it falls back to four spread-out epochs so Fig. 4
-// is never empty. Shared by the batch pipeline and the batch oracle so
-// the two can never disagree about which epochs carry snapshots.
+// is never empty. Only Analyze applies it: the fallback needs the whole
+// epoch list, which no online analyzer has.
 func resolveSnapshots(interval time.Duration, epochs []int64, specs []SnapshotSpec) []SnapshotSpec {
 	present := make(map[int64]struct{}, len(epochs))
 	for _, e := range epochs {
@@ -217,23 +219,21 @@ type EpochMetrics struct {
 	Snapshot *DegreeSnapshot
 }
 
-// EpochScratch is the per-worker reusable state: the graph builders
+// epochScratch is the per-worker reusable state: the graph builders
 // whose index maps and edge arrays survive from epoch to epoch, the
-// column builder AnalyzeStream assembles its epochs with, and the
-// worker's shard of the Fig. 1B day-distinct fold (merged after the
-// pool drains, so no lock serializes the hot loop).
-type EpochScratch struct {
+// column builder for epochs sent as raw reports, and the worker's shard
+// of the Fig. 1B day-distinct fold (merged after the pool drains, so no
+// lock serializes the hot loop). One scratch serves any number of
+// sequential epochs; concurrent workers need one each.
+type epochScratch struct {
 	active *graph.CSRBuilder
 	stable *graph.CSRBuilder
 	cols   *trace.EpochColumns
 	days   map[int64]*daySets
 }
 
-// NewEpochScratch builds an empty scratch. One scratch serves any number
-// of sequential AnalyzeEpochMetrics calls; concurrent calls need one
-// scratch each.
-func NewEpochScratch() *EpochScratch {
-	return &EpochScratch{
+func newEpochScratch() *epochScratch {
+	return &epochScratch{
 		active: graph.NewCSRBuilder(),
 		stable: graph.NewCSRBuilder(),
 		cols:   trace.NewEpochColumns(),
@@ -248,77 +248,35 @@ func Analyze(store *trace.Store, db *isp.Database, cfg Config) (*Results, error)
 	sp := obs.TracerOrNop(cfg.Tracer).Start("seal")
 	ix := store.Seal()
 	sp.End()
-	view := func(epoch int64) EpochView { return NewIndexedEpochView(ix, epoch) }
-	return analyzeViews(ix.Interval(), ix.Epochs(), view, db, cfg)
-}
-
-// analyzeLegacy is Analyze over the pre-index epoch assembly (maps
-// rebuilt per epoch). It exists only to back the pipeline-equivalence
-// tests while both paths are alive.
-func analyzeLegacy(store *trace.Store, db *isp.Database, cfg Config) (*Results, error) {
-	view := func(epoch int64) EpochView { return legacyEpochView(store, epoch) }
-	return analyzeViews(store.Interval(), store.Epochs(), view, db, cfg)
-}
-
-// analyzeViews is the pipeline body, parameterized over epoch-view
-// assembly so the sealed-index and legacy paths share every downstream
-// instruction.
-func analyzeViews(interval time.Duration, epochs []int64, view func(int64) EpochView, db *isp.Database, cfg Config) (*Results, error) {
+	epochs := ix.Epochs()
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("core: trace store is empty")
 	}
 	cfg = cfg.sanitize(len(epochs))
-
-	specs := resolveSnapshots(interval, epochs, cfg.Snapshots)
-	snapLabels := SnapshotLabels(interval, specs)
+	specs := resolveSnapshots(ix.Interval(), epochs, cfg.Snapshots)
 
 	epochsSpan := cfg.Tracer.Start("epochs")
-	outs := make([]*EpochMetrics, len(epochs))
-	scratches := make([]*EpochScratch, cfg.Workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		sc := NewEpochScratch()
-		scratches[w] = sc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				e := epochs[i]
-				heavy := i%cfg.HeavyEveryN == 0
-				v := view(e)
-				outs[i] = AnalyzeEpochMetrics(v, db, cfg, heavy, snapLabels[e], sc)
-				// Fold this epoch's addresses into the worker's shard of
-				// the day-distinct sets (Fig. 1B).
-				foldDay(sc.days, v)
-			}
-		}()
-	}
-	for i := range epochs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	outs, scratches := runSealed(ix, &kernel{ix.Interval(), db, cfg, snapshotLabels(ix.Interval(), specs)})
 	epochsSpan.End()
 
 	// Flight recorder: the consumption events are recorded only now, from
 	// this single-threaded path in ascending epoch order — never from the
 	// workers, whose interleaving would leak scheduling into the journal.
-	for i, e := range epochs {
-		cfg.Journal.Record(outs[i].Start.UnixNano(), obs.StageAnalyze, obs.VerdictConsumed,
-			obs.ReportID{Epoch: e})
+	for _, m := range outs {
+		cfg.Journal.Record(m.Start.UnixNano(), obs.StageAnalyze, obs.VerdictConsumed,
+			obs.ReportID{Epoch: m.Epoch})
 	}
 
 	days := mergeDays(cfg.Tracer, scratches)
-	sp := cfg.Tracer.Start("assemble")
+	sp = cfg.Tracer.Start("assemble")
 	defer sp.End()
-	return assemble(interval, cfg, specs, outs, days)
+	return assemble(ix.Interval(), cfg, specs, outs, days)
 }
 
 // mergeDays unions the workers' shards of the day-distinct sets. Set
 // union commutes, so shard and map iteration order cannot leak into the
 // merged counts.
-func mergeDays(tr obs.Tracer, scratches []*EpochScratch) map[int64]*daySets {
+func mergeDays(tr obs.Tracer, scratches []*epochScratch) map[int64]*daySets {
 	sp := tr.Start("merge_days")
 	defer sp.End()
 	days := make(map[int64]*daySets)
@@ -361,14 +319,15 @@ func foldDay(days map[int64]*daySets, v EpochView) {
 	}
 }
 
-// AnalyzeEpochMetrics computes everything the figures need from one
-// snapshot. It is the shared per-epoch kernel: the batch pipeline, the
-// single-pass trace scanner (AnalyzeStream), and the live incremental
-// analyzer all call exactly this function, which is why their per-epoch
-// outputs can be byte-compared. cfg must already be sanitized; the
-// per-epoch RNG is derived from (cfg.Seed, v.Epoch) alone, so one
-// epoch's result is independent of every other epoch.
-func AnalyzeEpochMetrics(v EpochView, db *isp.Database, cfg Config, heavy bool, snapLabel string, sc *EpochScratch) *EpochMetrics {
+// run computes everything the figures need from the snapshot at send or
+// close position pos. It is the shared per-epoch kernel: every driver —
+// the sealed-index pool, the single-pass stream, and the live analyzer's
+// EpochRunner — calls exactly this function, which is why their per-epoch
+// outputs can be byte-compared. The per-epoch RNG is derived from
+// (cfg.Seed, v.Epoch) alone, so one epoch's result is independent of
+// every other epoch.
+func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
+	db, cfg := k.db, k.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed ^ v.Epoch*2654435761))
 	out := &EpochMetrics{
 		Epoch:     v.Epoch,
@@ -483,7 +442,7 @@ func AnalyzeEpochMetrics(v EpochView, db *isp.Database, cfg Config, heavy bool, 
 
 	// Small-world metrics on the stable-peer graph (Fig. 7), on the
 	// heavy cadence only.
-	if heavy {
+	if pos%cfg.HeavyEveryN == 0 {
 		swSpan := cfg.Tracer.Start("small_world")
 		out.Heavy = true
 		sg := v.StableGraphInto(sc.stable, cfg.ActiveThreshold)
@@ -502,7 +461,7 @@ func AnalyzeEpochMetrics(v EpochView, db *isp.Database, cfg Config, heavy bool, 
 	}
 
 	// Fig. 4 degree snapshot.
-	if snapLabel != "" && out.Stable > 0 {
+	if snapLabel := k.labels[v.Epoch]; snapLabel != "" && out.Stable > 0 {
 		snapSpan := cfg.Tracer.Start("degree_snapshot")
 		defer snapSpan.End()
 		snap := &DegreeSnapshot{

@@ -106,11 +106,13 @@ func TestStreamDropsStragglers(t *testing.T) {
 		report(2, [3]uint32{1, 50, 50}),
 		report(3, [3]uint32{1, 50, 50}),
 		report(9, [3]uint32{1, 50, 50}), // straggler, three epochs late
+		report(4, [3]uint32{1, 50, 50}), // one epoch late: inside the lateness, kept
 	}
 	reports[0].Time = e0.Add(time.Minute)
 	reports[1].Time = e0.Add(11 * time.Minute)
 	reports[2].Time = e0.Add(31 * time.Minute)
 	reports[3].Time = e0.Add(2 * time.Minute)
+	reports[4].Time = e0.Add(21 * time.Minute)
 
 	src := &storeSource{reports: reports}
 	res, dropped, err := AnalyzeStream(src, db, Config{Seed: 1}, 10*time.Minute)
@@ -120,8 +122,8 @@ func TestStreamDropsStragglers(t *testing.T) {
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
-	if res.EpochCount != 3 {
-		t.Errorf("epochs = %d, want 3", res.EpochCount)
+	if res.EpochCount != 4 {
+		t.Errorf("epochs = %d, want 4", res.EpochCount)
 	}
 }
 

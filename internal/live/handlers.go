@@ -124,7 +124,7 @@ func (a *Analyzer) payload() epochsPayload {
 	defer a.mu.Unlock()
 	p.IntervalSeconds = a.interval.Seconds()
 	p.EpochsClosed = len(a.closed)
-	p.StragglersDropped = a.stragglers
+	p.StragglersDropped = a.epochs.Stragglers()
 	for _, ce := range a.closed {
 		p.Closed = append(p.Closed, closedJSON(ce))
 	}
@@ -419,7 +419,7 @@ func DashboardHandler(a *Analyzer, hist *tsdb.DB, eng *alert.Engine) http.Handle
 			closed := slices.Clone(a.closed)
 			d.IntervalSeconds = a.interval.Seconds()
 			d.EpochsClosed = len(a.closed)
-			d.Stragglers = a.stragglers
+			d.Stragglers = a.epochs.Stragglers()
 			for _, fl := range a.inFlightLocked() {
 				d.InFlight = append(d.InFlight, inflightJSON{
 					Epoch: fl.Epoch,

@@ -14,13 +14,14 @@
 // latest-report-by-peer dedup in per-shard arrival order (sound because
 // trace.ShardOf assigns each address wholly to one shard), reporters
 // sorted by address, visible peers sorted and deduplicated — and then
-// runs the very same per-epoch kernel, core.AnalyzeEpochMetrics, over
-// those columns.
+// finalizes them through core.EpochRunner, the shared per-epoch kernel
+// under the same online policy the oracle uses.
 //
-// Epoch close is watermark-driven: epoch e closes once every shard has
-// seen a report from an epoch strictly after e. Reports that arrive
-// for an already-closed epoch are dropped with accounting
-// (stragglers), mirroring core.AnalyzeStream's tolerance policy.
+// Epoch close is watermark-driven, by the same trace.Closer that
+// core.AnalyzeStream uses, here with lateness 0: epoch e closes once
+// every shard has seen a report from an epoch strictly after e. Reports
+// that arrive for an already-closed epoch are dropped with accounting
+// (stragglers).
 //
 // The package is covered by the determinism analyzer: it never reads a
 // wall clock or ambient randomness. Finalize latency — the one
@@ -41,17 +42,6 @@ import (
 	"github.com/magellan-p2p/magellan/internal/trace"
 )
 
-// DefaultHeavyEveryN is the small-world cadence when the config leaves
-// it unset: an online analyzer cannot know the final epoch count, so
-// the batch default (≈ 240 computed points) is unavailable. Shared
-// with core.AnalyzeStream and core.BatchEpochMetrics, which is what
-// keeps default-config live runs reconcilable against the oracle.
-const DefaultHeavyEveryN = core.StreamingHeavyEveryN
-
-// noEpoch marks "no epoch seen yet" in watermark state; every real
-// epoch index is far above it.
-const noEpoch = -1 << 62
-
 // Config tunes a live Analyzer.
 type Config struct {
 	// Interval is the epoch width; 0 means trace.DefaultReportInterval.
@@ -64,13 +54,12 @@ type Config struct {
 	// DB resolves addresses to ISPs for the intra-/inter-ISP splits;
 	// nil means an empty database (every address Unknown).
 	DB *isp.Database
-	// Analysis tunes the per-epoch kernel. HeavyEveryN defaults to
-	// DefaultHeavyEveryN (the epoch count is unknown online); every
-	// other knob defaults exactly as core.Analyze defaults it. For
-	// byte-equivalence with a batch run, both sides must resolve to the
-	// same sanitized config — in particular an explicit HeavyEveryN and
-	// snapshot instants that exist in the trace (the online analyzer
-	// cannot apply the batch path's short-trace snapshot fallback).
+	// Analysis tunes the per-epoch kernel under core's online policy:
+	// HeavyEveryN defaults to the streaming cadence (the epoch count is
+	// unknown online), and only snapshot instants inside the trace
+	// produce Fig. 4 snapshots (there is no short-trace fallback). Every
+	// other knob defaults exactly as core.Analyze defaults it, and
+	// core.BatchEpochMetrics resolves the same config the same way.
 	Analysis core.Config
 	// Obs, when non-nil, receives the magellan_live_* metrics family.
 	// Measurement-only, like every registry in the repo.
@@ -119,20 +108,13 @@ type inflight struct {
 // whether a live plane exists.
 type Analyzer struct {
 	interval time.Duration
-	cfg      core.Config // sanitized
-	db       *isp.Database
 	nowNanos func() int64
 
 	mu            sync.Mutex
-	shardMax      []int64 // per-shard newest epoch seen
-	pending       map[int64]*inflight
-	closedThrough int64 // epochs ≤ this are closed; arrivals for them are stragglers
+	epochs        *trace.Closer[inflight]
+	run           *core.EpochRunner
 	closed        []*ClosedEpoch
-	index         int // finalization position, drives the heavy cadence
-	scratch       *core.EpochScratch
 	spareCols     []*trace.EpochColumns // builders of finalized epochs, for reuse
-	snapLabels    map[int64]string
-	stragglers    uint64
 	peersInFlight int
 	edgesInFlight int
 
@@ -146,33 +128,15 @@ func New(cfg Config) *Analyzer {
 	if interval <= 0 {
 		interval = trace.DefaultReportInterval
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	db := cfg.DB
 	if db == nil {
 		db, _ = isp.NewDatabase(nil) // empty range set cannot fail
 	}
-	ac := cfg.Analysis
-	if ac.HeavyEveryN <= 0 {
-		ac.HeavyEveryN = DefaultHeavyEveryN
-	}
-	ac = ac.Sanitized(0)
-
 	a := &Analyzer{
-		interval:      interval,
-		cfg:           ac,
-		db:            db,
-		nowNanos:      cfg.NowNanos,
-		shardMax:      make([]int64, shards),
-		pending:       make(map[int64]*inflight),
-		closedThrough: noEpoch,
-		scratch:       core.NewEpochScratch(),
-		snapLabels:    core.SnapshotLabels(interval, ac.Snapshots),
-	}
-	for i := range a.shardMax {
-		a.shardMax[i] = noEpoch
+		interval: interval,
+		nowNanos: cfg.NowNanos,
+		epochs:   trace.NewCloser[inflight](cfg.Shards, 0),
+		run:      core.NewEpochRunner(interval, db, cfg.Analysis),
 	}
 	if cfg.Obs != nil {
 		a.register(cfg.Obs)
@@ -196,14 +160,14 @@ func (a *Analyzer) register(reg *obs.Registry) {
 		func() uint64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return a.stragglers
+			return a.epochs.Stragglers()
 		})
 	reg.GaugeFunc("magellan_live_watermark_lag_epochs",
 		"Open epochs between the watermark and the newest report seen.",
 		func() float64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return float64(len(a.pending))
+			return float64(a.epochs.Len())
 		})
 	reg.GaugeFunc("magellan_live_peers_in_flight",
 		"Deduplicated reporting peers accumulated in open epochs.",
@@ -233,24 +197,17 @@ func (a *Analyzer) Observe(shard int, r trace.Report) {
 	if a == nil {
 		return
 	}
-	epoch := r.Time.UnixNano() / int64(a.interval)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if shard < 0 || shard >= len(a.shardMax) {
-		// A shard index outside the configured fan-in would deadlock the
-		// watermark if honored and corrupt it if clamped; drop with
-		// accounting, like any other report the plane cannot place.
-		a.stragglers++
-		return
-	}
-	if epoch <= a.closedThrough {
-		a.stragglers++
-		return
-	}
-	fl := a.pending[epoch]
+	// A shard index outside the configured fan-in would deadlock the
+	// watermark if honored and corrupt it if clamped; the closer drops it
+	// with accounting, like any other report the plane cannot place.
+	fl := a.epochs.Observe(shard, r.Time.UnixNano()/int64(a.interval), a.finalizeLocked)
 	if fl == nil {
-		fl = &inflight{cols: a.takeColumnsLocked()}
-		a.pending[epoch] = fl
+		return
+	}
+	if fl.cols == nil {
+		fl.cols = a.takeColumnsLocked()
 	}
 	// Latest-by-peer dedup, last write wins: per-address order is the
 	// owning shard's arrival order, exactly like the sealed index over a
@@ -263,38 +220,6 @@ func (a *Analyzer) Observe(shard int, r trace.Report) {
 		fl.edges += len(r.Partners)
 		a.peersInFlight++
 		a.edgesInFlight += len(r.Partners)
-	}
-	if epoch > a.shardMax[shard] {
-		a.shardMax[shard] = epoch
-		a.advanceLocked()
-	}
-}
-
-// advanceLocked recomputes the watermark (the minimum over every
-// shard's newest epoch) and finalizes all open epochs strictly below
-// it, in ascending order.
-func (a *Analyzer) advanceLocked() {
-	w := a.shardMax[0]
-	for _, m := range a.shardMax[1:] {
-		if m < w {
-			w = m
-		}
-	}
-	if w == noEpoch {
-		return // some shard has not reported yet
-	}
-	var ready []int64
-	for e := range a.pending {
-		if e < w {
-			ready = append(ready, e)
-		}
-	}
-	slices.Sort(ready)
-	for _, e := range ready {
-		a.finalizeLocked(e)
-	}
-	if w-1 > a.closedThrough {
-		a.closedThrough = w - 1
 	}
 }
 
@@ -309,16 +234,10 @@ func (a *Analyzer) takeColumnsLocked() *trace.EpochColumns {
 	return trace.NewEpochColumns()
 }
 
-// finalizeLocked closes one epoch: builds the sealed index's column
-// layout from the deduplicated reports, runs the shared per-epoch
-// kernel, and appends the result (with its canonical encoding and
-// digest) to the closed series.
-func (a *Analyzer) finalizeLocked(epoch int64) {
-	fl := a.pending[epoch]
-	delete(a.pending, epoch)
-	if fl == nil {
-		return
-	}
+// finalizeLocked closes one epoch: runs the shared per-epoch kernel over
+// its columns and appends the result (with its canonical encoding and
+// digest) to the closed series. It is the closer's close callback.
+func (a *Analyzer) finalizeLocked(epoch int64, fl *inflight) {
 	var t0 int64
 	if a.nowNanos != nil {
 		t0 = a.nowNanos()
@@ -326,18 +245,12 @@ func (a *Analyzer) finalizeLocked(epoch int64) {
 	a.peersInFlight -= fl.cols.Len()
 	a.edgesInFlight -= fl.edges
 
-	latest, addrs, all := fl.cols.Columns()
-	start := time.Unix(0, epoch*int64(a.interval)).UTC()
-	v := core.NewColumnsEpochView(epoch, start, latest, addrs, all)
-	heavy := a.index%a.cfg.HeavyEveryN == 0
-	m := core.AnalyzeEpochMetrics(v, a.db, a.cfg, heavy, a.snapLabels[epoch], a.scratch)
-	a.index++
-
+	m := a.run.Run(epoch, fl.cols)
 	canon := core.AppendCanonical(nil, m)
 	a.closed = append(a.closed, &ClosedEpoch{
 		Epoch:     epoch,
-		Start:     start,
-		Reports:   len(latest),
+		Start:     m.Start,
+		Reports:   m.Stable,
 		Metrics:   m,
 		Canonical: canon,
 		Digest:    sha256.Sum256(canon),
@@ -360,17 +273,7 @@ func (a *Analyzer) Drain() {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ready := make([]int64, 0, len(a.pending))
-	for e := range a.pending {
-		ready = append(ready, e)
-	}
-	slices.Sort(ready)
-	for _, e := range ready {
-		a.finalizeLocked(e)
-	}
-	if n := len(ready); n > 0 && ready[n-1] > a.closedThrough {
-		a.closedThrough = ready[n-1]
-	}
+	a.epochs.Drain(a.finalizeLocked)
 }
 
 // Closed returns the finalized epochs in close order (ascending epoch
@@ -393,7 +296,7 @@ func (a *Analyzer) Stragglers() uint64 {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stragglers
+	return a.epochs.Stragglers()
 }
 
 // InFlightEpoch summarizes one open epoch's provisional state.
@@ -417,21 +320,15 @@ func (a *Analyzer) InFlight() []InFlightEpoch {
 }
 
 func (a *Analyzer) inFlightLocked() []InFlightEpoch {
-	epochs := make([]int64, 0, len(a.pending))
-	for e := range a.pending {
-		epochs = append(epochs, e)
-	}
-	slices.Sort(epochs)
-	out := make([]InFlightEpoch, len(epochs))
-	for i, e := range epochs {
-		fl := a.pending[e]
-		out[i] = InFlightEpoch{
+	out := make([]InFlightEpoch, 0, a.epochs.Len())
+	a.epochs.Each(func(e int64, fl *inflight) {
+		out = append(out, InFlightEpoch{
 			Epoch: e,
 			Start: time.Unix(0, e*int64(a.interval)).UTC(),
 			Peers: fl.cols.Len(),
 			Edges: fl.edges,
-		}
-	}
+		})
+	})
 	return out
 }
 

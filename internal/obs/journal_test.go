@@ -137,16 +137,29 @@ func TestTerminalVerdictSet(t *testing.T) {
 	}
 }
 
+// journalFixture is a journey through every plane, the input of the
+// JSONL round-trip test and a FuzzReadEventsJSONL seed.
+var journalFixture = []Event{
+	{At: 100, Stage: StageEmit, Verdict: VerdictEmitted,
+		ID: ReportID{Addr: 0x3A0C2107, Channel: "CCTV1", Epoch: 42, Seq: 3}},
+	{At: 100, Stage: StageFault, Verdict: VerdictLost,
+		ID: ReportID{Addr: 0x3A0C2107, Channel: "CCTV1", Epoch: 42, Seq: 3}},
+	{At: 250, Stage: StageServer, Verdict: VerdictQueueDrop, ID: ReportID{}},
+	{At: 300, Stage: StageAnalyze, Verdict: VerdictConsumed, ID: ReportID{Epoch: 42}},
+}
+
+// malformedJournalLines are lines ReadEventsJSONL must reject.
+var malformedJournalLines = []string{
+	"{not json}\n",
+	`{"at":1,"stage":"warp","verdict":"emitted"}` + "\n",
+	`{"at":1,"stage":"emit","verdict":"vanished"}` + "\n",
+	`{"at":1,"stage":"emit","verdict":"emitted","addr":"1.2.3"}` + "\n",
+	`{"at":1,"stage":"emit","verdict":"emitted","addr":"1.2.3.999"}` + "\n",
+}
+
 func TestJournalJSONLRoundTrip(t *testing.T) {
 	j := NewJournal(8)
-	events := []Event{
-		{At: 100, Stage: StageEmit, Verdict: VerdictEmitted,
-			ID: ReportID{Addr: 0x3A0C2107, Channel: "CCTV1", Epoch: 42, Seq: 3}},
-		{At: 100, Stage: StageFault, Verdict: VerdictLost,
-			ID: ReportID{Addr: 0x3A0C2107, Channel: "CCTV1", Epoch: 42, Seq: 3}},
-		{At: 250, Stage: StageServer, Verdict: VerdictQueueDrop, ID: ReportID{}},
-		{At: 300, Stage: StageAnalyze, Verdict: VerdictConsumed, ID: ReportID{Epoch: 42}},
-	}
+	events := journalFixture
 	for _, ev := range events {
 		j.Record(ev.At, ev.Stage, ev.Verdict, ev.ID)
 	}
@@ -174,13 +187,7 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadEventsJSONLRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"{not json}\n",
-		`{"at":1,"stage":"warp","verdict":"emitted"}` + "\n",
-		`{"at":1,"stage":"emit","verdict":"vanished"}` + "\n",
-		`{"at":1,"stage":"emit","verdict":"emitted","addr":"1.2.3"}` + "\n",
-		`{"at":1,"stage":"emit","verdict":"emitted","addr":"1.2.3.999"}` + "\n",
-	} {
+	for _, bad := range malformedJournalLines {
 		if _, err := ReadEventsJSONL(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadEventsJSONL accepted %q", bad)
 		}

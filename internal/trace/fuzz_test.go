@@ -127,7 +127,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				for _, e := range store.Epochs() {
 					_ = store.Snapshot(e)
-					_ = store.Reporters(e)
+					_ = latestByPeer(store, e)
 				}
 			}
 		}()

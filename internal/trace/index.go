@@ -130,8 +130,8 @@ func (c *EpochColumns) Reset() {
 }
 
 // Add folds in the epoch's next report. A report from an address already
-// held replaces the held one — the last submitted report wins, as in
-// Store.LatestByPeer — and Add returns the superseded report and true.
+// held replaces the held one — the last submitted report wins — and Add
+// returns the superseded report and true.
 // Reports must not be added after Columns until the next Reset.
 func (c *EpochColumns) Add(r Report) (superseded Report, ok bool) {
 	if n, dup := c.slot[r.Addr]; dup {

@@ -43,7 +43,7 @@ func TestIndexMatchesLegacyAccessors(t *testing.T) {
 	}
 
 	for _, e := range epochs {
-		legacy := s.LatestByPeer(e)
+		legacy := latestByPeer(s, e)
 		reporters := ix.Reporters(e)
 		reports := ix.Reports(e)
 		if len(reporters) != len(legacy) || len(reports) != len(legacy) {

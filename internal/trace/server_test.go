@@ -36,7 +36,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// The stored reports survive the wire intact.
 	e := store.Epochs()[0]
-	latest := store.LatestByPeer(e)
+	latest := latestByPeer(store, e)
 	rep, ok := latest[100]
 	if !ok {
 		t.Fatal("peer 100's report missing from store")

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/obs"
 )
 
@@ -170,31 +169,6 @@ func (s *Store) Range(fn func(epoch int64, start time.Time, reports []Report) er
 		}
 	}
 	return nil
-}
-
-// Reporters returns the set of distinct addresses that reported during
-// the epoch — the paper's "stable peers" for that snapshot.
-func (s *Store) Reporters(epoch int64) map[isp.Addr]struct{} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[isp.Addr]struct{})
-	for _, r := range s.epochs[epoch] {
-		out[r.Addr] = struct{}{}
-	}
-	return out
-}
-
-// LatestByPeer returns, for one epoch, each reporting peer's most recent
-// report. Duplicate reports (rare; only when a peer's timer drifts across
-// an epoch boundary) collapse to the last received.
-func (s *Store) LatestByPeer(epoch int64) map[isp.Addr]Report {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[isp.Addr]Report)
-	for _, r := range s.epochs[epoch] {
-		out[r.Addr] = r
-	}
-	return out
 }
 
 // DumpTo streams every stored report, epoch by epoch, into a sink —

@@ -40,7 +40,7 @@ func TestStoreConcurrentIngest(t *testing.T) {
 					// Each accessor locks separately, so observe the
 					// per-peer view first: reports only accumulate, so
 					// the later snapshot must hold at least as many.
-					latest := s.LatestByPeer(e)
+					latest := latestByPeer(s, e)
 					snap := s.Snapshot(e)
 					if snap.Epoch != e {
 						t.Errorf("snapshot for epoch %d claims epoch %d", e, snap.Epoch)

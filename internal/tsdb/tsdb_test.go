@@ -149,9 +149,9 @@ func TestMatch(t *testing.T) {
 	}
 }
 
-// TestJSONLRoundTrip pins persistence: write → read reproduces every
-// series, point for point, and the replay instants.
-func TestJSONLRoundTrip(t *testing.T) {
+// sampledTestDB is newTestDB(8) after six scripted samples: the
+// history the JSONL tests and the FuzzReadJSONL seeds persist.
+func sampledTestDB() *DB {
 	db, clk, _, ctr, g := newTestDB(8)
 	for i := 1; i <= 6; i++ {
 		ctr.Add(3)
@@ -159,6 +159,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 		clk.advance(sec(5))
 		db.Sample()
 	}
+	return db
+}
+
+// TestJSONLRoundTrip pins persistence: write → read reproduces every
+// series, point for point, and the replay instants.
+func TestJSONLRoundTrip(t *testing.T) {
+	db := sampledTestDB()
 	var buf bytes.Buffer
 	if err := db.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -192,14 +199,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedHistory are inputs ReadJSONL must reject.
+var malformedHistory = map[string]string{
+	"garbage":         "{not json}\n",
+	"empty series":    `{"t":1,"m":"","v":2}` + "\n",
+	"time regression": `{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}` + "\n",
+}
+
 // TestReadJSONLRejectsMalformed pins the strict read contract.
 func TestReadJSONLRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"garbage":         "{not json}\n",
-		"empty series":    `{"t":1,"m":"","v":2}` + "\n",
-		"time regression": `{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}` + "\n",
-	}
-	for name, in := range cases {
+	for name, in := range malformedHistory {
 		if _, err := ReadJSONL(strings.NewReader(in), 4); err == nil {
 			t.Errorf("%s: ReadJSONL accepted malformed input", name)
 		}
