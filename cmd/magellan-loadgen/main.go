@@ -20,6 +20,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,15 @@ func run(args []string) error {
 		fmt.Println(buildinfo.String("magellan-loadgen"))
 		return nil
 	}
+	// An empty entry (a trailing comma) would be a phantom shard that
+	// reroutes every address.
 	addrs := strings.Split(*addrsFlag, ",")
+	if slices.Contains(addrs, "") {
+		return fmt.Errorf("-addrs %q has an empty entry", *addrsFlag)
+	}
+	if !(*rate >= 0) {
+		return fmt.Errorf("-rate must be ≥ 0, got %v", *rate)
+	}
 	if *clients < 1 {
 		return fmt.Errorf("-clients must be ≥ 1, got %d", *clients)
 	}
@@ -85,6 +94,20 @@ func run(args []string) error {
 	fmt.Printf("replaying %d reports (%d × %d passes) against %d shard(s)\n",
 		total, len(reports), *loop, len(addrs))
 
+	// Dial every client before the clock starts: a client that cannot
+	// reach the fleet fails the run instead of silently sending nothing.
+	cls := make([]*trace.ShardedClient, *clients)
+	for c := range cls {
+		cl, err := trace.DialSharded(addrs...)
+		if err != nil {
+			for _, open := range cls[:c] {
+				err = errors.Join(err, open.Close())
+			}
+			return fmt.Errorf("client %d: %w", c, err)
+		}
+		cls[c] = cl
+	}
+
 	before, haveBefore := scrapeStatus(*statusURL)
 
 	// Each client owns a stride-spaced stripe of the replay set and its
@@ -99,11 +122,7 @@ func run(args []string) error {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := trace.DialSharded(addrs...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "magellan-loadgen: client %d: %v\n", c, err)
-				return
-			}
+			cl := cls[c]
 			defer cl.Close()
 			sent := 0
 			for pass := 0; pass < *loop; pass++ {

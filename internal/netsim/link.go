@@ -50,7 +50,9 @@ const (
 // numbers model the well-documented state of Chinese inter-carrier peering
 // circa 2006: crossing the Telecom/Netcom boundary cost most of a
 // connection's throughput, and trans-Pacific paths cost more still.
-var _pathSpec = map[pathCategory]struct {
+// An array indexed by category: Link reads it once per connection, far
+// too often to hash a map key each time.
+var _pathSpec = [...]struct {
 	baseRTT   time.Duration
 	congested float64 // multiplier on per-connection throughput
 }{

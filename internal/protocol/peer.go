@@ -17,8 +17,6 @@ type Partner struct {
 	ID   isp.Addr
 	Port uint16
 	Link netsim.Link
-	// Added is the virtual time the partnership formed, in Unix nanos.
-	Added int64
 
 	// Cumulative segment counters over the connection's lifetime.
 	CumSent float64
@@ -32,14 +30,10 @@ type Partner struct {
 	// resolves it with a liveness check, replacing the index-map lookup
 	// the exchange used to do per request.
 	peer *Peer
-	// score is the supplier-selection score, frozen when the
-	// partnership forms: Link.Score is pure and LocalityBias is fixed
-	// before a peer connects, so computing it once replaces a per-tick
-	// recomputation.
-	score float64
 	// recip is the slot of the reciprocal entry in peer's storage.
 	// Slots never move, so the index stays valid for the partnership's
-	// lifetime — the grant path follows it instead of searching by ID.
+	// lifetime — the grant path and every teardown follow it instead of
+	// searching by ID.
 	recip int32
 }
 
@@ -48,19 +42,26 @@ type Partner struct {
 // the partnership exists.
 func (pt *Partner) Reciprocal() *Partner { return &pt.peer.partners[pt.recip] }
 
-// idEntry pairs a partner ID with its storage slot — the ascending-ID
-// view, 8 bytes per partner, so searches and in-order iteration touch
-// one compact cache-friendly column.
-type idEntry struct {
-	id   isp.Addr
-	slot int32
+// edge is one slot of the edge column, parallel to the partner slots:
+// the frozen supplier-selection score, the partner ID, and whether the
+// slot holds a live partnership. Ranking and ID reads scan these 16
+// bytes per slot and never touch the fat Partner entries, whose counter
+// fields the sharded grant phase writes concurrently.
+//
+// The score is frozen when the partnership forms: Link.Score is pure
+// and LocalityBias is fixed before a peer connects, so computing it once
+// replaces a per-tick recomputation.
+type edge struct {
+	score float64
+	id    isp.Addr
+	live  bool
 }
 
-// rankEntry pairs a frozen selection score with its storage slot — the
-// (score desc, ID asc) supplier-ranking view.
-type rankEntry struct {
-	score float64
-	slot  int32
+// outranks reports whether e ranks before r in the supplier order
+// (score desc, ID asc). The partner entry is consulted only to break
+// exact score ties, which continuous link jitter makes rare.
+func (e *edge) outranks(r Ranked) bool {
+	return e.score > r.Score || (e.score == r.Score && e.id < r.Pt.ID)
 }
 
 // MaxDepth is the depth assigned to peers with no supply path from an
@@ -102,34 +103,19 @@ type Peer struct {
 }
 
 // partnerStore is a peer's partner-list storage, built for churn.
-// partners is slot storage: entries are allocated on connect, freed to
-// a free list on disconnect, and never move — which is what lets each
-// edge carry a reciprocal slot index. idcol is the ascending-ID view;
-// searches probe only this compact column, which also keeps the
-// sharded grant phase race-free (concurrent workers write counter
-// fields of entries, never IDs or view columns).
-//
-// rankcol is a bounded window of the (score desc, ID asc) supplier
-// ranking: it holds exactly the top-len(rankcol) edges, and unranked
-// counts the edges ranked strictly after it. The exchange only ever
-// reads the top TargetActive suppliers, so the full ranking is never
-// materialized: an edge scoring below the window costs one comparison
-// to add or remove, and the window itself is a couple of cache lines
-// instead of a cold MaxPartners-sized column. When deletions shrink
-// the window below the table's rank floor while unranked edges remain,
-// it is rebuilt from the slot storage.
-// Removals tombstone instead of deleting: the entry's peer pointer is
-// nilled and dead counts it, leaving the ID column untouched until an
-// amortized compaction sweep reclaims the slots. A teardown therefore
-// never shifts the far peer's columns, and through the reciprocal slot
-// index it never searches them either.
+// partners is slot storage and edges its parallel edge column: a slot
+// is filled on connect, returned to the free list the moment its edge
+// is torn down, and never moves — which is what lets each edge carry a
+// reciprocal slot index. Edges are symmetric: a partnership occupies
+// one slot on each side, and every mutation changes both. Connecting or
+// tearing down an edge therefore never searches or shifts the far
+// peer's memory; it writes one edge slot, one partner slot and the free
+// list. No ordered view is maintained: the supplier ranking and the
+// ascending-ID reads are computed from the edge column when asked for.
 type partnerStore struct {
 	partners []Partner
+	edges    []edge
 	free     []int32
-	idcol    []idEntry
-	rankcol  []rankEntry
-	unranked int32
-	dead     int32
 }
 
 // reset empties the storage for reuse, dropping any references the
@@ -137,11 +123,8 @@ type partnerStore struct {
 func (s *partnerStore) reset() {
 	clear(s.partners)
 	s.partners = s.partners[:0]
+	s.edges = s.edges[:0]
 	s.free = s.free[:0]
-	s.idcol = s.idcol[:0]
-	s.rankcol = s.rankcol[:0]
-	s.unranked = 0
-	s.dead = 0
 }
 
 // NewPeer initializes protocol state for a standalone peer (or server)
@@ -169,13 +152,10 @@ func (p *Peer) RateKbps() float64 { return p.tab.rate[p.h] }
 // table indirection; the column copy feeds the exchange kernels.
 func (p *Peer) IsServer() bool { return p.srv }
 
-// MarkServer flags the peer as an origin server. Servers never rank
-// suppliers, so any ranking built before the flag is dropped.
+// MarkServer flags the peer as an origin server.
 func (p *Peer) MarkServer() {
 	p.tab.server[p.h] = true
 	p.srv = true
-	p.rankcol = nil
-	p.unranked = 0
 }
 
 // Depth is the peer's hop distance from the origin servers over the
@@ -216,113 +196,76 @@ func (p *Peer) TickRecvSeg() float64 { return p.tab.tickRecv[p.h] }
 func (p *Peer) TickSentSeg() float64 { return p.tab.tickSent[p.h] }
 
 // PartnerCount returns the size of the partner list.
-func (p *Peer) PartnerCount() int { return len(p.idcol) - int(p.dead) }
+func (p *Peer) PartnerCount() int { return len(p.edges) - len(p.free) }
 
-// findPartner returns id's position in the sorted ID column. The
-// search is hand-rolled over the compact column rather than
-// slices.BinarySearchFunc over partner entries: the generic comparator
-// receives elements by value, and copying a whole Partner reads its
-// segment counters, which a concurrent sharded-grant worker may be
-// writing on a disjoint field of the same element. Probing only the
-// column is both race-free (IDs are immutable for a partnership's
-// lifetime) and an order of magnitude lighter on cache lines.
-// The loop shape is the branchless lower-bound: the conditional add
-// compiles to a CMOV, so the ~7 probes per call pay dependent-load
-// latency instead of a mispredicted branch each.
-func (p *Peer) findPartner(id isp.Addr) (int, bool) {
-	base, n := 0, len(p.idcol)
-	for n > 1 {
-		half := n >> 1
-		if p.idcol[base+half-1].id < id {
-			base += half
+// slotOf returns the storage slot of the live edge to id. The scan
+// reads only the compact edge column, where IDs are immutable for a
+// partnership's lifetime.
+func (p *Peer) slotOf(id isp.Addr) (int32, bool) {
+	for s := range p.edges {
+		if e := &p.edges[s]; e.id == id && e.live {
+			return int32(s), true
 		}
-		n -= half
 	}
-	if n == 1 && p.idcol[base].id < id {
-		base++
-	}
-	return base, base < len(p.idcol) && p.idcol[base].id == id
+	return 0, false
 }
 
 // Partner returns the partner entry for id, or nil. The pointer aliases
 // the peer's partner storage and is invalidated by the next
 // partner-list mutation.
 func (p *Peer) Partner(id isp.Addr) *Partner {
-	if i, ok := p.findPartner(id); ok {
-		if pt := &p.partners[p.idcol[i].slot]; pt.peer != nil {
-			return pt
-		}
+	if s, ok := p.slotOf(id); ok {
+		return &p.partners[s]
 	}
 	return nil
 }
 
-// PartnerIDs returns the partner IDs in ascending order. The slice is
-// freshly allocated; hot paths iterate the ID column in place via
-// Partners or PartnerIDAt instead.
-func (p *Peer) PartnerIDs() []isp.Addr {
+// byID returns the peer's live edges as id<<32|slot keys in ascending
+// ID order, sorted on demand into the table's scratch buffer. The
+// result is valid until the next byID call on any peer of the table.
+func (p *Peer) byID() []uint64 {
+	keys := p.tab.idKeys[:0]
+	for s := range p.edges {
+		if e := &p.edges[s]; e.live {
+			keys = append(keys, uint64(e.id)<<32|uint64(s))
+		}
+	}
+	slices.Sort(keys)
+	p.tab.idKeys = keys
+	return keys
+}
+
+// liveIDs returns a fresh, ascending slice of the live partner IDs
+// other than skip.
+func (p *Peer) liveIDs(skip isp.Addr) []isp.Addr {
 	out := make([]isp.Addr, 0, p.PartnerCount())
-	for _, e := range p.idcol {
-		if p.partners[e.slot].peer != nil {
+	for s := range p.edges {
+		if e := &p.edges[s]; e.live && e.id != skip {
 			out = append(out, e.id)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// PartnerIDAt returns the i-th live partner ID in ascending order.
-func (p *Peer) PartnerIDAt(i int) isp.Addr {
-	if p.dead == 0 {
-		return p.idcol[i].id
-	}
-	for _, e := range p.idcol {
-		if p.partners[e.slot].peer == nil {
-			continue
-		}
-		if i == 0 {
-			return e.id
-		}
-		i--
-	}
-	panic("protocol: PartnerIDAt out of range")
+// PartnerIDs returns the partner IDs in ascending order. The slice is
+// freshly allocated; the report path walks the list via Partners
+// instead.
+func (p *Peer) PartnerIDs() []isp.Addr {
+	return p.liveIDs(p.ID()) // a peer is never its own partner
 }
 
-// Partners calls fn for every live partner in ascending ID order.
+// PartnerIDAt returns the i-th live partner ID in ascending order,
+// 0 ≤ i < PartnerCount.
+func (p *Peer) PartnerIDAt(i int) isp.Addr { return isp.Addr(p.byID()[i] >> 32) }
+
+// Partners calls fn for every live partner in ascending ID order. fn
+// must not mutate partner lists or call Partners or PartnerIDAt on a
+// peer of the same table: the walk runs over the table's sort scratch.
 func (p *Peer) Partners(fn func(*Partner)) {
-	for _, e := range p.idcol {
-		if pt := &p.partners[e.slot]; pt.peer != nil {
-			fn(pt)
-		}
+	for _, k := range p.byID() {
+		fn(&p.partners[uint32(k)])
 	}
-}
-
-// rankPos returns the slot of (score, id) in the ranked order
-// (score desc, ID asc). Scores are frozen per edge and IDs are unique,
-// so the pair addresses exactly one slot for present partners and the
-// insertion point for absent ones. The fat partner entry is consulted
-// only to break exact score ties.
-// The common path is a branchless (CMOV) lower bound on score alone;
-// exact score ties — essentially impossible with continuous link jitter
-// — fall through to a short forward walk that orders by ID.
-func (p *Peer) rankPos(score float64, id isp.Addr) int {
-	base, n := 0, len(p.rankcol)
-	for n > 1 {
-		half := n >> 1
-		if p.rankcol[base+half-1].score > score {
-			base += half
-		}
-		n -= half
-	}
-	if n == 1 && p.rankcol[base].score > score {
-		base++
-	}
-	for base < len(p.rankcol) {
-		e := p.rankcol[base]
-		if e.score != score || p.partners[e.slot].ID >= id {
-			break
-		}
-		base++
-	}
-	return base
 }
 
 // allocSlot returns a free storage slot, growing the storage if the
@@ -333,167 +276,54 @@ func (p *Peer) allocSlot() int32 {
 		p.free = p.free[:n-1]
 		return s
 	}
-	// Fresh storage jumps straight to a churn-typical capacity: peers
+	// Fresh storage jumps straight to the default partner cap: peers
 	// bootstrap tens of partners at once, so doubling up from nil would
-	// pay several reallocations per joining peer.
-	if cap(p.partners) < 96 && len(p.partners) == cap(p.partners) {
-		grown := make([]Partner, len(p.partners), 96)
-		copy(grown, p.partners)
-		p.partners = grown
+	// pay several reallocations per joining peer, and freed slots are
+	// reused at once, so a regular peer's storage never outgrows it.
+	if len(p.partners) == cap(p.partners) && cap(p.partners) < _slotHint {
+		p.partners = slices.Grow(p.partners, _slotHint-len(p.partners))
+		p.edges = slices.Grow(p.edges, _slotHint-len(p.edges))
 	}
 	p.partners = append(p.partners, Partner{})
+	p.edges = append(p.edges, edge{})
 	return int32(len(p.partners) - 1)
 }
 
-// addPartner fills slot with the edge to q and indexes it in both the
-// ID view (at position i, from the caller's duplicate check) and the
-// rank view. revive means position i is the pair's own tombstone — the
-// ID column already carries the entry, so only the slot is refilled.
-// It does not check limits; Connect does.
-func (p *Peer) addPartner(i int, slot int32, q *Peer, link netsim.Link, now time.Time, recip int32, revive bool) {
+// _slotHint is the initial partner-storage capacity:
+// DefaultConfig().MaxPartners.
+const _slotHint = 80
+
+// fill writes the edge to q into slot. It does not check limits;
+// Connect does.
+func (p *Peer) fill(slot int32, q *Peer, link netsim.Link, recip int32) {
 	score := link.Score()
 	if link.SameISP {
 		score *= 1 + p.LocalityBias
 	}
 	// Field-by-field writes: a composite literal would materialize a
-	// temporary and copy it per edge, and freed slots are only
-	// peer-marked, so every field is (re)set here.
+	// temporary and copy it per edge, and freed slots keep stale
+	// counters, so every field is (re)set here.
 	pt := &p.partners[slot]
-	pt.ID, pt.Port, pt.Link, pt.Added = q.ID(), q.Port, link, now.UnixNano()
+	pt.ID, pt.Port, pt.Link = q.ID(), q.Port, link
 	pt.CumSent, pt.CumRecv, pt.WinSent, pt.WinRecv = 0, 0, 0, 0
-	pt.peer, pt.score, pt.recip = q, score, recip
-	if !revive {
-		p.idcol = slices.Insert(p.idcol, i, idEntry{id: q.ID(), slot: slot})
-	}
-	// Servers never rank suppliers — they are sources, excluded from
-	// every receiver loop — so their ranking is not maintained at all.
-	if !p.IsServer() {
-		p.rankInsert(score, q.ID(), slot)
-	}
+	pt.peer, pt.recip = q, recip
+	p.edges[slot] = edge{score: score, id: q.ID(), live: true}
 }
 
-// rankInsert folds a new edge into the bounded ranking window,
-// preserving the invariant that rankcol holds exactly the
-// top-len(rankcol) edges by (score desc, ID asc). An edge ranking
-// below a window that already shadows unranked edges (or is full)
-// just bumps the unranked count.
-func (p *Peer) rankInsert(score float64, id isp.Addr, slot int32) {
-	m := len(p.rankcol)
-	// Quick reject: an edge ranking after the window's last entry goes
-	// straight to the unranked tail without a position search.
-	if m > 0 && (p.unranked > 0 || m == p.tab.rankCap) {
-		last := p.rankcol[m-1]
-		if score < last.score || (score == last.score && id > p.partners[last.slot].ID) {
-			p.unranked++
-			return
-		}
-	}
-	pos := p.rankPos(score, id)
-	if pos < m || (p.unranked == 0 && m < p.tab.rankCap) {
-		p.rankcol = slices.Insert(p.rankcol, pos, rankEntry{score: score, slot: slot})
-		if len(p.rankcol) > p.tab.rankCap {
-			p.rankcol = p.rankcol[:p.tab.rankCap]
-			p.unranked++
-		}
-	} else {
-		p.unranked++
-	}
-}
-
-// rankDelete drops an edge from the ranking. Edges below the window
-// only decrement the unranked count; a window that falls below the
-// table's rank floor while unranked edges remain is rebuilt.
-func (p *Peer) rankDelete(score float64, id isp.Addr) {
-	m := len(p.rankcol)
-	if m > 0 {
-		last := p.rankcol[m-1]
-		if score > last.score || (score == last.score && id <= p.partners[last.slot].ID) {
-			pos := p.rankPos(score, id)
-			p.rankcol = slices.Delete(p.rankcol, pos, pos+1)
-			if p.unranked > 0 && len(p.rankcol) < p.tab.rankFloor {
-				p.rebuildRank()
-			}
-			return
-		}
-	}
-	p.unranked--
-}
-
-// rebuildRank rescans the live edges and refills the window with the
-// top-min(rankCap, live) of them.
-func (p *Peer) rebuildRank() {
-	p.rankcol = p.rankcol[:0]
-	p.unranked = 0
-	cap := p.tab.rankCap
-	for _, e := range p.idcol {
-		if p.partners[e.slot].peer == nil {
-			continue
-		}
-		score := p.partners[e.slot].score
-		pos, m := p.rankPos(score, e.id), len(p.rankcol)
-		if pos < m || m < cap {
-			p.rankcol = slices.Insert(p.rankcol, pos, rankEntry{score: score, slot: e.slot})
-			if len(p.rankcol) > cap {
-				p.rankcol = p.rankcol[:cap]
-				p.unranked++
-			}
-		} else {
-			p.unranked++
-		}
-	}
-}
-
-// RemovePartner drops one side of a partnership. Disconnect removes both.
-func (p *Peer) RemovePartner(id isp.Addr) {
-	i, ok := p.findPartner(id)
-	if !ok {
-		return
-	}
-	pt := &p.partners[p.idcol[i].slot]
-	if pt.peer == nil {
-		return // already tombstoned
-	}
-	p.tombstone(pt, id)
-}
-
-// tombstone marks one resolved edge dead — O(1) apart from the bounded
-// ranking update — and compacts the columns once tombstones pile up.
-// Entries are marked by a nil peer, not zeroed: addPartner rewrites
-// every field on slot reuse, and nothing reads dead or free slots
-// except nil checks (ResetWindow writes them harmlessly).
-func (p *Peer) tombstone(pt *Partner, id isp.Addr) {
-	// The edge dies before the ranking update: rankDelete can rebuild
-	// the window from the slot storage, and a rebuild must not see the
-	// dying edge as live and resurrect it.
-	pt.peer = nil
-	p.dead++
-	if !p.srv {
-		p.rankDelete(pt.score, id)
-	}
-	if d := int(p.dead); d >= 16 && 2*d >= len(p.idcol) {
-		p.compact()
-	}
-}
-
-// compact sweeps tombstoned entries out of the ID column and returns
-// their slots to the free list.
-func (p *Peer) compact() {
-	kept := p.idcol[:0]
-	for _, e := range p.idcol {
-		if p.partners[e.slot].peer == nil {
-			p.free = append(p.free, e.slot)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	p.idcol = kept
-	p.dead = 0
+// release frees one side of an edge: the slot goes straight back on the
+// free list. Freed entries are marked, not zeroed — fill rewrites every
+// field on reuse, and nothing reads free slots except ResetWindow,
+// which writes them harmlessly.
+func (p *Peer) release(slot int32) {
+	p.edges[slot].live = false
+	p.partners[slot].peer = nil
+	p.free = append(p.free, slot)
 }
 
 // HasPartner reports whether id is in the partner list.
 func (p *Peer) HasPartner(id isp.Addr) bool {
-	i, ok := p.findPartner(id)
-	return ok && p.partners[p.idcol[i].slot].peer != nil
+	_, ok := p.slotOf(id)
+	return ok
 }
 
 // AcceptsConnection reports whether the peer will accept one more
@@ -526,59 +356,36 @@ type Ranked struct {
 
 // RankSuppliers appends up to k partners ranked by link score (best
 // first, ties broken by ID) to dst and returns it — the "most suitable
-// peers from which it actually requests media blocks". Scores are
-// frozen when each partnership forms (Link.Score is pure and
-// LocalityBias is fixed before any connect), so the ranking window is
-// maintained incrementally and each call is a read-only copy of the
-// cached order — safe from concurrent shard workers. A k deeper than
-// the window (possible only above the table's rank floor) falls back
-// to a full sort into fresh storage, still without mutating the peer.
-// Servers return nothing: they are sources, and their ranking is
-// never maintained.
+// peers from which it actually requests media blocks". The ranking is
+// computed on every call by a k-bounded insertion over the edge column,
+// so the call only reads the peer — safe from concurrent shard workers
+// — and allocates only if dst lacks room for k entries.
+// Servers return nothing: they are sources, never receivers.
 func (p *Peer) RankSuppliers(dst []Ranked, k int) []Ranked {
-	if k > len(p.rankcol) && p.unranked > 0 {
-		return p.rankSlow(dst, k)
+	if p.srv || k <= 0 {
+		return dst
 	}
-	n := len(p.rankcol)
-	if n > k {
-		n = k
-	}
-	for _, e := range p.rankcol[:n] {
-		dst = append(dst, Ranked{Pt: &p.partners[e.slot], Score: e.score})
-	}
-	return dst
-}
-
-// rankSlow ranks the full partner list into caller-owned storage for
-// k beyond the cached window.
-func (p *Peer) rankSlow(dst []Ranked, k int) []Ranked {
-	all := make([]Ranked, 0, p.PartnerCount())
-	for _, e := range p.idcol {
-		pt := &p.partners[e.slot]
-		if pt.peer == nil {
+	base := len(dst)
+	for s := range p.edges {
+		e := &p.edges[s]
+		if !e.live {
 			continue
 		}
-		all = append(all, Ranked{Pt: pt, Score: pt.score})
-	}
-	slices.SortFunc(all, func(a, b Ranked) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
+		i := len(dst)
+		if i-base < k {
+			dst = append(dst, Ranked{})
+		} else if e.outranks(dst[i-1]) {
+			i-- // evict the current k-th
+		} else {
+			continue
 		}
-		if a.Pt.ID != b.Pt.ID {
-			if a.Pt.ID < b.Pt.ID {
-				return -1
-			}
-			return 1
+		for i > base && e.outranks(dst[i-1]) {
+			dst[i] = dst[i-1]
+			i--
 		}
-		return 0
-	})
-	if len(all) > k {
-		all = all[:k]
+		dst[i] = Ranked{Pt: &p.partners[s], Score: e.score}
 	}
-	return append(dst, all...)
+	return dst
 }
 
 // TopSuppliers returns up to k partners ranked by link score (best
@@ -593,8 +400,8 @@ func (p *Peer) TopSuppliers(k int) []*Partner {
 }
 
 // ResetWindow clears the per-report-window segment counters, called after
-// the peer emits a trace report. Free slots are already zero; clearing
-// them again is harmless and keeps the loop branch-free.
+// the peer emits a trace report. Clearing free slots too is harmless
+// (fill rewrites them) and keeps the loop branch-free.
 func (p *Peer) ResetWindow() {
 	for i := range p.partners {
 		p.partners[i].WinSent, p.partners[i].WinRecv = 0, 0
@@ -613,14 +420,10 @@ func (p *Peer) UpdateQuality(fraction float64) {
 
 // Recommend samples up to n of the peer's partners, excluding the
 // requester — the "recommend known partners to each other" mechanism.
-// Sampling is uniform over the partner list.
+// Sampling is uniform over the partner list, shuffled from ascending ID
+// order so the draw depends only on the list's contents.
 func (p *Peer) Recommend(rng *rand.Rand, requester isp.Addr, n int) []isp.Addr {
-	candidates := make([]isp.Addr, 0, p.PartnerCount())
-	for _, e := range p.idcol {
-		if e.id != requester && p.partners[e.slot].peer != nil {
-			candidates = append(candidates, e.id)
-		}
-	}
+	candidates := p.liveIDs(requester)
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
@@ -633,79 +436,51 @@ func (p *Peer) Recommend(rng *rand.Rand, requester isp.Addr, n int) []isp.Addr {
 // Connect establishes a partnership between two peers over the given
 // link, enforcing acceptance rules. It reports whether the connection was
 // made. Self-connections, duplicates, cross-channel pairs, and refusals
-// all fail.
-func Connect(p, q *Peer, link netsim.Link, cfg Config, now time.Time) bool {
+// all fail. Edges are symmetric, so the duplicate check reads only p's
+// side and q's side costs one free-slot fill. The formation time is
+// not recorded: nothing reads it.
+func Connect(p, q *Peer, link netsim.Link, cfg Config, _ time.Time) bool {
 	if p == nil || q == nil || p == q || p.ID() == q.ID() {
 		return false
 	}
 	if p.Channel != q.Channel && !p.IsServer() && !q.IsServer() {
 		return false
 	}
-	i, dup := p.findPartner(q.ID())
-	ps := int32(-1)
-	if dup {
-		ps = p.idcol[i].slot
-		if p.partners[ps].peer != nil {
-			return false
-		}
-		// A tombstone of the same pair: revive it in place below.
-	}
-	if !p.AcceptsConnection(cfg) || !q.AcceptsConnection(cfg) {
+	if p.HasPartner(q.ID()) || !p.AcceptsConnection(cfg) || !q.AcceptsConnection(cfg) {
 		return false
 	}
-	j, dupq := q.findPartner(p.ID())
-	qs := int32(-1)
-	if dupq {
-		qs = q.idcol[j].slot
-		if q.partners[qs].peer == nil {
-			q.dead--
-		} else if !q.srv {
-			// One-sided removal left q's half of an old pairing live;
-			// unrank it before the slot is overwritten.
-			q.rankDelete(q.partners[qs].score, p.ID())
-		}
-	}
-	if ps < 0 {
-		ps = p.allocSlot()
-	} else {
-		p.dead--
-	}
-	if qs < 0 {
-		qs = q.allocSlot()
-	}
-	p.addPartner(i, ps, q, link, now, qs, dup)
-	q.addPartner(j, qs, p, link, now, ps, dupq)
+	ps, qs := p.allocSlot(), q.allocSlot()
+	p.fill(ps, q, link, qs)
+	q.fill(qs, p, link, ps)
 	return true
 }
 
-// Disconnect tears down a partnership from both sides.
+// Disconnect tears down a partnership from both sides; the far side is
+// reached through the reciprocal slot, without a search.
 func Disconnect(p, q *Peer) {
 	if p == nil || q == nil {
 		return
 	}
-	p.RemovePartner(q.ID())
-	q.RemovePartner(p.ID())
+	if s, ok := p.slotOf(q.ID()); ok {
+		pt := &p.partners[s]
+		pt.peer.release(pt.recip)
+		p.release(s)
+	}
 }
 
 // DisconnectAll tears down every partnership of p in one sweep: each
-// partner's reciprocal entry is tombstoned directly through the stored
-// slot index — no search and no column shift on the far side — and p's
-// own state is cleared wholesale. The far side is skipped for entries
-// whose peer has already left the table (their lists are gone with the
-// slot). Per-q effects are independent, so the result is identical to
-// disconnecting each edge one at a time.
+// partner's reciprocal slot is freed directly through the stored index,
+// and p's own storage is cleared wholesale. Per-partner effects are
+// independent, so the result is identical to disconnecting each edge
+// one at a time.
 func DisconnectAll(p *Peer) {
 	if p == nil {
 		return
 	}
-	id := p.ID()
-	for i := range p.partners {
-		pt := &p.partners[i]
-		q := pt.peer // nil on free and tombstoned slots
-		if q == nil || q.h == NoPeer || q.tab != p.tab {
-			continue
+	for s := range p.partners {
+		if pt := &p.partners[s]; pt.peer != nil {
+			pt.peer.release(pt.recip)
 		}
-		q.tombstone(&q.partners[pt.recip], id)
 	}
 	p.partnerStore.reset()
 }

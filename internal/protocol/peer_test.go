@@ -112,14 +112,19 @@ func TestDisconnect(t *testing.T) {
 func TestPartnerIDsSorted(t *testing.T) {
 	cfg := DefaultConfig()
 	p := testPeer(1, "CCTV1")
+	var twenty *Peer
 	for _, a := range []uint32{50, 3, 999, 20, 7} {
-		Connect(p, testPeer(a, "CCTV1"), testLink(500), cfg, _t0)
+		q := testPeer(a, "CCTV1")
+		if a == 20 {
+			twenty = q
+		}
+		Connect(p, q, testLink(500), cfg, _t0)
 	}
 	ids := p.PartnerIDs()
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 		t.Errorf("PartnerIDs not sorted: %v", ids)
 	}
-	p.RemovePartner(isp.Addr(20))
+	Disconnect(p, twenty)
 	ids = p.PartnerIDs()
 	if len(ids) != 4 {
 		t.Fatalf("after removal len = %d, want 4", len(ids))
@@ -250,5 +255,44 @@ func TestRecommendFewPartners(t *testing.T) {
 	}
 	if rec := p.Recommend(rng, 2, 5); len(rec) != 0 {
 		t.Errorf("Recommend excluding only partner = %d IDs, want 0", len(rec))
+	}
+}
+
+// TestChurnZeroAllocs pins the churn plane's steady state: on a warm
+// table, a departure's teardown, a join's bootstrap connects, a supplier
+// ranking into caller storage and a report's partner walk all reuse
+// storage the table already holds.
+func TestChurnZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	tab := NewTable(256)
+	var peers []*Peer
+	for i := 0; i < 256; i++ {
+		host := netsim.Host{Addr: isp.Addr(i + 1), Cap: netsim.Capacity{UpKbps: 448, DownKbps: 2048}}
+		peers = append(peers, tab.Add(host, 0, "CCTV1", 400, _t0))
+	}
+	rng := rand.New(rand.NewSource(7))
+	var ranked [32]Ranked
+	var sink float64
+	next := 0
+	cycle := func() {
+		p := peers[next%len(peers)]
+		next++
+		DisconnectAll(p)
+		for c := 0; c < 50; c++ {
+			Connect(p, peers[rng.Intn(len(peers))], testLink(200+rng.Float64()*800), cfg, _t0)
+		}
+		for _, r := range p.RankSuppliers(ranked[:0], 30) {
+			sink += r.Score
+		}
+		p.Partners(func(pt *Partner) { sink += pt.WinSent })
+	}
+	for i := 0; i < 4*len(peers); i++ {
+		cycle() // warm every peer's storage and free list
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("churn cycle allocates %.2f times per run, want 0", allocs)
+	}
+	if sink < 0 {
+		t.Fatal("unreachable: keeps the results live")
 	}
 }

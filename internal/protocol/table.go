@@ -40,7 +40,7 @@ type Table struct {
 
 	// store parks the partner-list arrays of departed peers, one slot
 	// per handle: the next peer reusing a slot starts with warmed
-	// capacity instead of growing four fresh arrays from nil, so under
+	// capacity instead of growing three fresh arrays from nil, so under
 	// sustained churn the event plane stops allocating.
 	store []partnerStore
 
@@ -48,13 +48,9 @@ type Table struct {
 	free   []Handle
 	live   int
 
-	// rankFloor and rankCap bound each peer's supplier-ranking window:
-	// the window is rebuilt when deletions shrink it below rankFloor
-	// (while unranked edges remain) and trimmed when insertions grow it
-	// past rankCap. Any RankSuppliers k ≤ rankFloor is served from the
-	// window alone; see SetRankWindow.
-	rankFloor int
-	rankCap   int
+	// idKeys is the sort scratch behind the ascending-ID partner reads
+	// (Partners, PartnerIDAt); see Peer.byID.
+	idKeys []uint64
 }
 
 // Cols is a borrowed view of a table's hot columns, handed to the
@@ -81,26 +77,7 @@ func NewTable(capHint int) *Table {
 	if capHint < 0 {
 		capHint = 0
 	}
-	return &Table{
-		byAddr:    make(map[isp.Addr]*Peer, capHint),
-		rankFloor: defaultRankFloor,
-		rankCap:   2 * defaultRankFloor,
-	}
-}
-
-// defaultRankFloor comfortably covers DefaultConfig().TargetActive.
-const defaultRankFloor = 16
-
-// SetRankWindow widens the per-peer supplier-ranking window so that
-// RankSuppliers calls with k ≤ floor are always served from the cached
-// window. Callers that rank deeper than the default floor (16) must
-// set this before peers connect.
-func (t *Table) SetRankWindow(floor int) {
-	if floor < defaultRankFloor {
-		floor = defaultRankFloor
-	}
-	t.rankFloor = floor
-	t.rankCap = 2 * floor
+	return &Table{byAddr: make(map[isp.Addr]*Peer, capHint)}
 }
 
 // Len returns the number of live peers.
@@ -175,11 +152,11 @@ func (t *Table) Add(host netsim.Host, port uint16, channel string, rateKbps floa
 	return p
 }
 
-// Remove frees the peer's slot for reuse and detaches p from the table.
-// After removal the peer's hot-state accessors are invalid (Handle
-// reports NoPeer) and its partner list reads as empty: the list's
-// storage is reclaimed for the slot's next occupant. The cold identity
-// fields remain readable.
+// Remove tears down the peer's partnerships (DisconnectAll), frees its
+// slot for reuse and detaches p from the table. After removal the
+// peer's hot-state accessors are invalid (Handle reports NoPeer) and
+// its partner list reads as empty: the list's storage is reclaimed for
+// the slot's next occupant. The cold identity fields remain readable.
 func (t *Table) Remove(p *Peer) {
 	if p == nil || p.h == NoPeer {
 		return
@@ -187,10 +164,10 @@ func (t *Table) Remove(p *Peer) {
 	if p.tab != t {
 		panic("protocol: Remove on peer from another table")
 	}
+	DisconnectAll(p)
 	delete(t.byAddr, p.Host.Addr)
 	t.free = append(t.free, p.h)
 	t.live--
-	p.partnerStore.reset()
 	t.store[p.h] = p.partnerStore
 	p.partnerStore = partnerStore{}
 	p.h = NoPeer
@@ -199,12 +176,12 @@ func (t *Table) Remove(p *Peer) {
 // Lookup returns the live peer with the given address, or nil.
 func (t *Table) Lookup(addr isp.Addr) *Peer { return t.byAddr[addr] }
 
-// PartnerPeer resolves a partner entry to its live peer in this table,
-// or nil if the partner has departed (or belongs to another table).
+// PartnerPeer resolves a partner entry to its peer in this table, or
+// nil if the entry is free or the partner belongs to another table.
+// Removal tears edges down, so a live entry never names a departed peer.
 func (t *Table) PartnerPeer(pt *Partner) *Peer {
-	q := pt.peer
-	if q == nil || q.h == NoPeer || q.tab != t {
-		return nil
+	if q := pt.peer; q != nil && q.tab == t {
+		return q
 	}
-	return q
+	return nil
 }

@@ -134,10 +134,6 @@ func New(cfg Config) (*Simulation, error) {
 		}, rand.New(rand.NewSource(cfg.Seed+6))),
 		tab: protocol.NewTable(int(cfg.MeanConcurrency)),
 	}
-	// The exchange ranks TargetActive suppliers per receiver per tick;
-	// sizing the window up front keeps that read on the cached path.
-	s.tab.SetRankWindow(cfg.Protocol.TargetActive)
-
 	for i := 0; i < cfg.Trackers; i++ {
 		s.trackers = append(s.trackers,
 			protocol.NewTracker(cfg.Protocol, rand.New(rand.NewSource(cfg.Seed+5+int64(i)))))
@@ -368,8 +364,8 @@ func (s *Simulation) bootstrap(p *protocol.Peer, n int, now time.Time) {
 	}
 }
 
-// handleDeparture tears a peer down: disconnect everywhere, deregister,
-// stop its timers, remove from the live set. A flapper's departure also
+// handleDeparture tears a peer down: deregister, stop its timers, and
+// remove it from the live set, which disconnects it everywhere. A flapper's departure also
 // schedules its rejoin. The rt.peer identity check makes stale departure
 // events (a mass departure already removed the peer, or a rejoin reused
 // its address) harmless no-ops.
@@ -386,7 +382,6 @@ func (s *Simulation) handleDeparture(p *protocol.Peer, now time.Time) {
 	// Hot-state reads are invalid once the table slot is freed; capture
 	// what the teardown needs first.
 	isServer := p.IsServer()
-	protocol.DisconnectAll(p)
 	if isServer {
 		for _, tr := range s.trackers {
 			tr.Leave(p.Channel, addr)

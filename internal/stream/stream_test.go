@@ -241,7 +241,7 @@ func TestDepartedPartnerSkipped(t *testing.T) {
 	s := m.add(1, 8000, true)
 	p := m.add(2, 448, false)
 	m.connect(p, s, 4000)
-	// s departs: removed from the table but p's partner list is stale.
+	// s departs: Remove tears the edge down on p's side too.
 	m.tab.Remove(s)
 	live := []*protocol.Peer{p}
 	e := newExchange(ModeMesh)
