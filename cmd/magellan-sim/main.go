@@ -47,7 +47,6 @@ func run(args []string) error {
 		duration    = fs.Duration("duration", 14*24*time.Hour, "simulated span")
 		tick        = fs.Duration("tick", time.Minute, "bandwidth integration step")
 		concurrency = fs.Float64("concurrency", 600, "target mean simultaneous peers")
-		peersTarget = fs.Float64("peers-target", 0, "target mean simultaneous peers (overrides -concurrency; 0: use -concurrency)")
 		shards      = fs.Int("shards", 1, "exchange-tick worker goroutines (0: GOMAXPROCS); the trace is byte-identical for any value")
 		channels    = fs.Int("channels", 48, "extra channels besides CCTV1/CCTV4")
 		flashcrowd  = fs.Bool("flashcrowd", true, "inject the Oct 6 9pm mid-autumn flash crowd")
@@ -89,12 +88,20 @@ func run(args []string) error {
 		return nil
 	}
 
-	target := *concurrency
-	if *peersTarget != 0 {
-		if *peersTarget < 0 {
-			return fmt.Errorf("-peers-target must be positive, got %v", *peersTarget)
-		}
-		target = *peersTarget
+	if *concurrency <= 0 {
+		return fmt.Errorf("-concurrency must be positive, got %v", *concurrency)
+	}
+	// sim.Config maps a zero Duration, Tick or ExtraChannels to a
+	// default, so reject them here rather than run a silently different
+	// simulation.
+	if *duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %v", *duration)
+	}
+	if *tick <= 0 {
+		return fmt.Errorf("-tick must be positive, got %v", *tick)
+	}
+	if *channels < 1 {
+		return fmt.Errorf("-channels must be ≥ 1, got %d", *channels)
 	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be ≥ 0, got %d", *shards)
@@ -108,7 +115,7 @@ func run(args []string) error {
 		Seed:             *seed,
 		Duration:         *duration,
 		Tick:             *tick,
-		MeanConcurrency:  target,
+		MeanConcurrency:  *concurrency,
 		Shards:           workers,
 		ExtraChannels:    *channels,
 		ISPBlind:         *ispBlind,

@@ -119,12 +119,57 @@ func TestRunRejectsBadMode(t *testing.T) {
 	}
 }
 
+// badScaleFlags are scale flags that sim.Config would map to a default
+// (zero channels, duration or tick) or that make no sense.
+var badScaleFlags = [][]string{
+	{"-shards", "-2"},
+	{"-concurrency", "-50"},
+	{"-channels", "0"},
+	{"-channels", "-1"},
+	{"-duration", "0"},
+	{"-duration", "-1h"},
+	{"-tick", "0"},
+	{"-tick", "-1m"},
+}
+
+// badScaleArgs puts bad after small, valid defaults for everything else
+// with outputs in dir, so a flag that is wrongly accepted runs quickly
+// into dir and fails the test instead of hanging it.
+func badScaleArgs(dir string, bad []string) []string {
+	return append([]string{"-duration", "10m", "-concurrency", "20", "-channels", "2",
+		"-flashcrowd=false",
+		"-trace", filepath.Join(dir, "t.trace"),
+		"-ispdb", filepath.Join(dir, "t.ispdb")}, bad...)
+}
+
+// TestRunRejectsBadScaleFlags: each bad scale flag must fail the run
+// instead of simulating something else.
 func TestRunRejectsBadScaleFlags(t *testing.T) {
-	if err := run([]string{"-shards", "-2"}); err == nil {
-		t.Error("negative -shards accepted")
+	dir := t.TempDir()
+	for _, bad := range badScaleFlags {
+		if args := badScaleArgs(dir, bad); run(args) == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
-	if err := run([]string{"-peers-target", "-50"}); err == nil {
-		t.Error("negative -peers-target accepted")
+}
+
+// TestRunRejectsBadScaleFlagsWritesNothing: the scale flags are checked
+// before any output is created, so a rejected run leaves no trace or
+// ISP database file behind.
+func TestRunRejectsBadScaleFlagsWritesNothing(t *testing.T) {
+	for _, bad := range badScaleFlags {
+		dir := t.TempDir()
+		if run(badScaleArgs(dir, bad)) == nil {
+			t.Errorf("%v accepted", bad)
+			continue
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			t.Errorf("%v: rejected run left %s behind", bad, e.Name())
+		}
 	}
 }
 
@@ -137,7 +182,7 @@ func TestShardsProduceIdenticalTrace(t *testing.T) {
 		err := run([]string{
 			"-seed", "5",
 			"-duration", "1h",
-			"-peers-target", "100",
+			"-concurrency", "100",
 			"-channels", "2",
 			"-flashcrowd=false",
 			"-shards", shards,

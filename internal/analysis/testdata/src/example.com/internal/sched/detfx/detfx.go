@@ -1,4 +1,4 @@
-// Package detfx exercises the determinism analyzer inside the calendar
+// Package detfx exercises the determinism analyzer inside the event
 // queue's package path (…/internal/sched/…): the scheduler core orders
 // every event in the run, so ambient randomness and wall-clock reads
 // there would silently break trace reproducibility.

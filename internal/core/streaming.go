@@ -10,16 +10,13 @@ import (
 	"github.com/magellan-p2p/magellan/internal/trace"
 )
 
-// ReportSource yields reports one at a time; *trace.Reader and
-// *trace.JSONLReader both satisfy it.
+// ReportSource yields reports one at a time; *trace.Reader satisfies
+// it.
 type ReportSource interface {
 	Next() (trace.Report, error)
 }
 
-var (
-	_ ReportSource = (*trace.Reader)(nil)
-	_ ReportSource = (*trace.JSONLReader)(nil)
-)
+var _ ReportSource = (*trace.Reader)(nil)
 
 // AnalyzeStream runs the full pipeline over a report stream in a single
 // pass — the mode a 120 GB production trace (the paper's) demands.

@@ -8,11 +8,10 @@
 // traces from identical seeds. Events at the same instant fire in
 // scheduling order.
 //
-// Internally events sit in a calendar queue (internal/sched) keyed on
-// (UnixNano, sequence), which keeps per-operation cost O(1) amortized as
-// the pending-event population grows to paper scale. Cancellation is
-// lazy: a canceled event stays queued and is discarded when it surfaces,
-// which is cheaper than heap removal and does not disturb the order of
+// Internally events sit in a 4-ary min-heap (internal/sched) keyed on
+// (UnixNano, sequence). Cancellation is lazy: a canceled event stays
+// queued and is discarded when it surfaces, which is cheaper than
+// removal from the middle of the heap and does not disturb the order of
 // live events.
 package des
 

@@ -171,28 +171,6 @@ func (s *Series) WriteCSV(w io.Writer, name string) error {
 	return nil
 }
 
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of values using the
-// nearest-rank method. It copies and sorts internally.
-func Quantile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	slices.Sort(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
-}
-
 // Mean returns the average of values, or 0 when empty.
 func Mean(values []float64) float64 {
 	if len(values) == 0 {

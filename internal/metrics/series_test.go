@@ -118,32 +118,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	vals := []float64{9, 1, 5, 3, 7}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{p: 0, want: 1},
-		{p: 0.2, want: 1},
-		{p: 0.5, want: 5},
-		{p: 0.9, want: 9},
-		{p: 1, want: 9},
-	}
-	for _, tt := range tests {
-		if got := Quantile(vals, tt.p); got != tt.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile not 0")
-	}
-	// Input must not be mutated.
-	if vals[0] != 9 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
 func TestMeanHelper(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); m != 2 {
 		t.Errorf("Mean = %v, want 2", m)

@@ -101,12 +101,3 @@ func SampleCapacity(rng *rand.Rand, c Class) Capacity {
 	}
 	return Capacity{}
 }
-
-// ClassWeights exposes the population mix for tests and documentation.
-func ClassWeights() map[Class]float64 {
-	w := make(map[Class]float64, len(_classes))
-	for _, spec := range _classes {
-		w[spec.class] = spec.weight
-	}
-	return w
-}

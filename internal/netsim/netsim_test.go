@@ -17,11 +17,33 @@ func TestSampleClassDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[SampleClass(rng)]++
 	}
-	for class, want := range ClassWeights() {
-		got := float64(counts[class]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("%v sampled at %.4f, want %.4f ± 0.01", class, got, want)
+	for _, spec := range _classes {
+		got := float64(counts[spec.class]) / n
+		if math.Abs(got-spec.weight) > 0.01 {
+			t.Errorf("%v sampled at %.4f, want %.4f ± 0.01", spec.class, got, spec.weight)
 		}
+	}
+}
+
+// TestClassWeightsSumToOne: SampleClass walks the cumulative weights
+// with one uniform draw, so the mix must be a distribution over
+// distinct classes; otherwise a class is never drawn or the last class
+// absorbs the remainder.
+func TestClassWeightsSumToOne(t *testing.T) {
+	seen := make(map[Class]bool, len(_classes))
+	var sum float64
+	for _, spec := range _classes {
+		if spec.weight <= 0 {
+			t.Errorf("%v has weight %v, want > 0", spec.class, spec.weight)
+		}
+		if seen[spec.class] {
+			t.Errorf("%v listed twice", spec.class)
+		}
+		seen[spec.class] = true
+		sum += spec.weight
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("weights sum to %v, want 1", sum)
 	}
 }
 

@@ -34,21 +34,6 @@ func (l Level) String() string {
 	return fmt.Sprintf("level(%d)", int8(l))
 }
 
-// ParseLevel maps a flag value to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (debug|info|warn|error)", s)
-}
-
 // A Logger writes line-delimited JSON records to a sink. Records carry
 // a timestamp, level, message, and alternating key/value fields in the
 // order given — field order is the call-site order, never a map order.

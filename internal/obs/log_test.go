@@ -139,16 +139,15 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn, "error": LevelError,
+// TestLevelString pins the level names written into each record's
+// "level" field, and the fallback for a value outside the four levels.
+func TestLevelString(t *testing.T) {
+	for l, want := range map[Level]string{
+		LevelDebug: "debug", LevelInfo: "info", LevelWarn: "warn", LevelError: "error",
+		Level(9): "level(9)", Level(-1): "level(-1)",
 	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v, nil", s, got, err, want)
+		if got := l.String(); got != want {
+			t.Errorf("Level(%d).String() = %q, want %q", int8(l), got, want)
 		}
-	}
-	if _, err := ParseLevel("verbose"); err == nil {
-		t.Error("ParseLevel(verbose): expected error")
 	}
 }

@@ -73,29 +73,3 @@ func BenchmarkStoreSubmit(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkJSONLVsBinarySize(b *testing.B) {
-	reports := benchReports(512)
-	var bin, jsonl int
-	for i := 0; i < b.N; i++ {
-		var binBuf, jsonBuf bytes.Buffer
-		w, err := NewWriter(&binBuf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jw := NewJSONLWriter(&jsonBuf)
-		for j := range reports {
-			if err := w.Submit(reports[j]); err != nil {
-				b.Fatal(err)
-			}
-			if err := jw.Submit(reports[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		bin, jsonl = binBuf.Len(), jsonBuf.Len()
-	}
-	b.ReportMetric(float64(jsonl)/float64(bin), "json_to_binary_ratio")
-}

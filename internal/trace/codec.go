@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -239,47 +238,4 @@ func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 			return nil, err
 		}
 	}
-}
-
-// JSONLWriter streams reports as one JSON object per line. It implements
-// Sink.
-type JSONLWriter struct {
-	enc *json.Encoder
-}
-
-var _ Sink = (*JSONLWriter)(nil)
-
-// NewJSONLWriter wraps w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
-}
-
-// Submit implements Sink.
-func (w *JSONLWriter) Submit(r Report) error {
-	if err := w.enc.Encode(&r); err != nil {
-		return fmt.Errorf("trace: encode json: %w", err)
-	}
-	return nil
-}
-
-// JSONLReader streams reports from JSON lines.
-type JSONLReader struct {
-	dec *json.Decoder
-}
-
-// NewJSONLReader wraps r.
-func NewJSONLReader(r io.Reader) *JSONLReader {
-	return &JSONLReader{dec: json.NewDecoder(r)}
-}
-
-// Next returns the next report, or io.EOF at end of stream.
-func (r *JSONLReader) Next() (Report, error) {
-	var rep Report
-	if err := r.dec.Decode(&rep); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Report{}, io.EOF
-		}
-		return Report{}, fmt.Errorf("trace: decode json: %w", err)
-	}
-	return rep, nil
 }

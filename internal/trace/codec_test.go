@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -141,39 +142,6 @@ func TestDecodeHugePartnerCount(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	reports := make([]Report, 50)
-	for i := range reports {
-		reports[i] = randomReport(rng)
-		if err := w.Submit(reports[i]); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	rd := NewJSONLReader(&buf)
-	for i := range reports {
-		got, err := rd.Next()
-		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
-		}
-		if got.Addr != reports[i].Addr || got.Channel != reports[i].Channel {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got, reports[i])
-		}
-	}
-	if _, err := rd.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("err = %v, want io.EOF", err)
-	}
-}
-
-func TestJSONLReaderBadInput(t *testing.T) {
-	rd := NewJSONLReader(strings.NewReader("{not json"))
-	if _, err := rd.Next(); err == nil || errors.Is(err, io.EOF) {
-		t.Errorf("malformed JSON: err = %v, want decode error", err)
-	}
-}
-
 func TestLoadStore(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -200,6 +168,9 @@ func TestLoadStore(t *testing.T) {
 	}
 }
 
+// TestBinarySmallerThanJSON: the binary trace format exists to be
+// compact, so it must encode the same reports in fewer bytes than one
+// encoding/json object per line.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var bin, jsonl bytes.Buffer
@@ -207,13 +178,13 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw := NewJSONLWriter(&jsonl)
+	enc := json.NewEncoder(&jsonl)
 	for i := 0; i < 100; i++ {
 		r := randomReport(rng)
 		if err := bw.Submit(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := jw.Submit(r); err != nil {
+		if err := enc.Encode(&r); err != nil {
 			t.Fatal(err)
 		}
 	}

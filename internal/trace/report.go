@@ -86,7 +86,7 @@ func (r *Report) Validate() error {
 const MaxPartnersPerReport = 512
 
 // Sink consumes reports. Implementations: Store (in-memory, for
-// analysis), Writer (binary file), JSONLWriter, and Tee.
+// analysis), Writer (binary file), and Tee.
 type Sink interface {
 	Submit(Report) error
 }
