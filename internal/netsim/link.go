@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"hash/fnv"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -86,8 +85,11 @@ func NewNetwork(seed uint64) *Network {
 	return &Network{seed: seed}
 }
 
-// Link returns the link quality between two hosts. It is symmetric:
-// Link(a,b) == Link(b,a).
+// Link returns the link quality between two hosts for data flowing
+// from a to b. The RTT, the jitter and SameISP depend only on the
+// unordered pair, but the endpoint cap is directional: capacity is
+// limited by a's uplink and b's downlink, so Link(a,b) == Link(b,a)
+// only when min(a's up, b's down) equals min(b's up, a's down).
 func (n *Network) Link(a, b Host) Link {
 	cat := n.classify(a.ISP, b.ISP)
 	spec := _pathSpec[cat]
@@ -123,27 +125,27 @@ func (n *Network) classify(a, b isp.ISP) pathCategory {
 	}
 }
 
-// pairJitter hashes the unordered pair into two uniform values in [0, 1).
+// pairJitter hashes the unordered pair into two uniform values in [0, 1):
+// 64-bit FNV-1a over the little-endian bytes of (seed, lo, hi), computed
+// inline because Link runs once per connection attempt.
 func (n *Network) pairJitter(a, b isp.Addr) (float64, float64) {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	h := fnv.New64a()
-	var buf [24]byte
-	putUint64(buf[0:], n.seed)
-	putUint64(buf[8:], uint64(lo))
-	putUint64(buf[16:], uint64(hi))
-	_, _ = h.Write(buf[:])
-	v := h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	v := uint64(offset64)
+	for _, w := range [3]uint64{n.seed, uint64(lo), uint64(hi)} {
+		for i := 0; i < 64; i += 8 {
+			v ^= (w >> i) & 0xff
+			v *= prime64
+		}
+	}
 	const norm = float64(1<<32 - 1)
 	return float64(v>>32) / norm, float64(v&0xffffffff) / norm
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
 }
 
 func minf(a, b float64) float64 {

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,5 +225,37 @@ func TestDifferentSeedsDifferentLinks(t *testing.T) {
 	l2 := NewNetwork(2).Link(a, b)
 	if l1 == l2 {
 		t.Error("different seeds produced identical links (jitter not seeded)")
+	}
+}
+
+// TestPairJitterMatchesFNV pins the inline hash to hash/fnv's 64-bit
+// FNV-1a over the 24 little-endian bytes of (seed, lo, hi), the
+// encoding every trace pin was computed with, for both argument orders.
+func TestPairJitterMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		seed := rng.Uint64()
+		a, b := isp.Addr(rng.Uint32()), isp.Addr(rng.Uint32())
+		if i%4 == 0 {
+			b = a + isp.Addr(rng.Intn(3)) // equal and adjacent addresses too
+		}
+		lo, hi := min(a, b), max(a, b)
+		var buf [24]byte
+		binary.LittleEndian.PutUint64(buf[0:], seed)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(lo))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(hi))
+		h := fnv.New64a()
+		_, _ = h.Write(buf[:])
+		v := h.Sum64()
+		const norm = float64(1<<32 - 1)
+		want1, want2 := float64(v>>32)/norm, float64(v&0xffffffff)/norm
+
+		n := NewNetwork(seed)
+		for _, pair := range [2][2]isp.Addr{{a, b}, {b, a}} {
+			if g1, g2 := n.pairJitter(pair[0], pair[1]); g1 != want1 || g2 != want2 {
+				t.Fatalf("pairJitter(seed %#x, %v, %v) = (%v, %v), hash/fnv gives (%v, %v)",
+					seed, pair[0], pair[1], g1, g2, want1, want2)
+			}
+		}
 	}
 }

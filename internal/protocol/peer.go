@@ -10,26 +10,25 @@ import (
 )
 
 // Partner is one edge of a peer's partner list: a live TCP connection
-// with its measured quality and the segment bookkeeping the UUSee client
-// keeps per partner (Sec. 3.2: "the number of sent/received segments over
-// the TCP connection").
+// with its throughput ceiling and the segment bookkeeping the UUSee
+// client keeps per partner (Sec. 3.2: "the number of sent/received
+// segments over the TCP connection"). The slot is 40 bytes and holds no
+// pointer, so the garbage collector never scans partner storage; the
+// far side is reached through its table handle.
 type Partner struct {
 	ID   isp.Addr
 	Port uint16
-	Link netsim.Link
-
-	// Cumulative segment counters over the connection's lifetime.
-	CumSent float64
-	CumRecv float64
+	// CapacityKbps is the connection's throughput ceiling, the one link
+	// quantity the exchange reads once the edge exists: the score
+	// suppliers are ranked by is frozen into the edge column.
+	CapacityKbps float64
 	// Window counters since the peer's last trace report; the report
 	// carries these and resets them.
 	WinSent float64
 	WinRecv float64
 
-	// peer is the other endpoint's boundary object; Table.PartnerPeer
-	// resolves it with a liveness check, replacing the index-map lookup
-	// the exchange used to do per request.
-	peer *Peer
+	// peer is the other endpoint's handle in the shared table.
+	peer Handle
 	// recip is the slot of the reciprocal entry in peer's storage.
 	// Slots never move, so the index stays valid for the partnership's
 	// lifetime — the grant path and every teardown follow it instead of
@@ -37,15 +36,18 @@ type Partner struct {
 	recip int32
 }
 
-// Reciprocal returns the far side's entry for this edge: slots never
-// move, so the stored index resolves without a search. Valid only while
-// the partnership exists.
-func (pt *Partner) Reciprocal() *Partner { return &pt.peer.partners[pt.recip] }
+// Handle returns the far peer's handle in the table both peers share.
+// Valid only while the partnership exists.
+func (pt *Partner) Handle() Handle { return pt.peer }
+
+// Recip returns the storage slot of the far side's entry for this edge,
+// for the far peer's Slot. Valid only while the partnership exists.
+func (pt *Partner) Recip() int32 { return pt.recip }
 
 // edge is one slot of the edge column, parallel to the partner slots:
 // the frozen supplier-selection score, the partner ID, and whether the
 // slot holds a live partnership. Ranking and ID reads scan these 16
-// bytes per slot and never touch the fat Partner entries, whose counter
+// bytes per slot and never touch the Partner entries, whose counter
 // fields the sharded grant phase writes concurrently.
 //
 // The score is frozen when the partnership forms: Link.Score is pure
@@ -118,20 +120,12 @@ type partnerStore struct {
 	free     []int32
 }
 
-// reset empties the storage for reuse, dropping any references the
-// entries held.
+// reset empties the storage for reuse. The slots hold no references,
+// and allocSlot appends zeroed ones, so nothing needs clearing.
 func (s *partnerStore) reset() {
-	clear(s.partners)
 	s.partners = s.partners[:0]
 	s.edges = s.edges[:0]
 	s.free = s.free[:0]
-}
-
-// NewPeer initializes protocol state for a standalone peer (or server)
-// in its own single-slot table. Population-scale callers use Table.Add
-// so all peers share one column set.
-func NewPeer(host netsim.Host, port uint16, channel string, rateKbps float64, joined time.Time) *Peer {
-	return NewTable(1).Add(host, port, channel, rateKbps, joined)
 }
 
 // ID returns the peer's identity — its IP address, as in the traces.
@@ -220,6 +214,10 @@ func (p *Peer) Partner(id isp.Addr) *Partner {
 	return nil
 }
 
+// Slot returns the partner entry in storage slot s, as named by the far
+// side's Recip. Like Partner, the pointer aliases the peer's storage.
+func (p *Peer) Slot(s int32) *Partner { return &p.partners[s] }
+
 // byID returns the peer's live edges as id<<32|slot keys in ascending
 // ID order, sorted on demand into the table's scratch buffer. The
 // result is valid until the next byID call on any peer of the table.
@@ -300,25 +298,27 @@ func (p *Peer) fill(slot int32, q *Peer, link netsim.Link, recip int32) {
 	if link.SameISP {
 		score *= 1 + p.LocalityBias
 	}
-	// Field-by-field writes: a composite literal would materialize a
-	// temporary and copy it per edge, and freed slots keep stale
-	// counters, so every field is (re)set here.
+	// Field-by-field writes: freed slots keep stale counters, so every
+	// field is (re)set here.
 	pt := &p.partners[slot]
-	pt.ID, pt.Port, pt.Link = q.ID(), q.Port, link
-	pt.CumSent, pt.CumRecv, pt.WinSent, pt.WinRecv = 0, 0, 0, 0
-	pt.peer, pt.recip = q, recip
+	pt.ID, pt.Port, pt.CapacityKbps = q.ID(), q.Port, link.CapacityKbps
+	pt.WinSent, pt.WinRecv = 0, 0
+	pt.peer, pt.recip = q.h, recip
 	p.edges[slot] = edge{score: score, id: q.ID(), live: true}
 }
 
 // release frees one side of an edge: the slot goes straight back on the
-// free list. Freed entries are marked, not zeroed — fill rewrites every
-// field on reuse, and nothing reads free slots except ResetWindow,
-// which writes them harmlessly.
+// free list. Freed entries are marked in the edge column, not zeroed —
+// fill rewrites every field on reuse, and nothing reads free slots
+// except ResetWindow, which writes them harmlessly.
 func (p *Peer) release(slot int32) {
 	p.edges[slot].live = false
-	p.partners[slot].peer = nil
 	p.free = append(p.free, slot)
 }
+
+// releaseFar frees the far side of the edge in pt, reached through the
+// table's handle column and the reciprocal slot.
+func (p *Peer) releaseFar(pt *Partner) { p.tab.peers[pt.peer].release(pt.recip) }
 
 // HasPartner reports whether id is in the partner list.
 func (p *Peer) HasPartner(id isp.Addr) bool {
@@ -388,17 +388,6 @@ func (p *Peer) RankSuppliers(dst []Ranked, k int) []Ranked {
 	return dst
 }
 
-// TopSuppliers returns up to k partners ranked by link score (best
-// first), ties broken by ID.
-func (p *Peer) TopSuppliers(k int) []*Partner {
-	ranked := p.RankSuppliers(make([]Ranked, 0, p.PartnerCount()), k)
-	out := make([]*Partner, len(ranked))
-	for i, r := range ranked {
-		out[i] = r.Pt
-	}
-	return out
-}
-
 // ResetWindow clears the per-report-window segment counters, called after
 // the peer emits a trace report. Clearing free slots too is harmless
 // (fill rewrites them) and keeps the loop branch-free.
@@ -436,11 +425,12 @@ func (p *Peer) Recommend(rng *rand.Rand, requester isp.Addr, n int) []isp.Addr {
 // Connect establishes a partnership between two peers over the given
 // link, enforcing acceptance rules. It reports whether the connection was
 // made. Self-connections, duplicates, cross-channel pairs, and refusals
-// all fail. Edges are symmetric, so the duplicate check reads only p's
-// side and q's side costs one free-slot fill. The formation time is
-// not recorded: nothing reads it.
+// all fail, as does a pair from two tables: a partner is addressed by
+// its handle in the table both peers share. Edges are symmetric, so the
+// duplicate check reads only p's side and q's side costs one free-slot
+// fill. The formation time is not recorded: nothing reads it.
 func Connect(p, q *Peer, link netsim.Link, cfg Config, _ time.Time) bool {
-	if p == nil || q == nil || p == q || p.ID() == q.ID() {
+	if p == nil || q == nil || p == q || p.ID() == q.ID() || p.tab != q.tab {
 		return false
 	}
 	if p.Channel != q.Channel && !p.IsServer() && !q.IsServer() {
@@ -462,8 +452,7 @@ func Disconnect(p, q *Peer) {
 		return
 	}
 	if s, ok := p.slotOf(q.ID()); ok {
-		pt := &p.partners[s]
-		pt.peer.release(pt.recip)
+		p.releaseFar(&p.partners[s])
 		p.release(s)
 	}
 }
@@ -477,9 +466,9 @@ func DisconnectAll(p *Peer) {
 	if p == nil {
 		return
 	}
-	for s := range p.partners {
-		if pt := &p.partners[s]; pt.peer != nil {
-			pt.peer.release(pt.recip)
+	for s := range p.edges {
+		if p.edges[s].live {
+			p.releaseFar(&p.partners[s])
 		}
 	}
 	p.partnerStore.reset()

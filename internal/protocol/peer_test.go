@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/netsim"
@@ -12,13 +14,15 @@ import (
 
 var _t0 = time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC)
 
-func testPeer(addr uint32, channel string) *Peer {
+// testPeer adds a peer to the test's table: partners are addressed by
+// handle, so peers that connect must share one.
+func testPeer(tab *Table, addr uint32, channel string) *Peer {
 	host := netsim.Host{
 		Addr: isp.Addr(addr),
 		ISP:  isp.ChinaTelecom,
 		Cap:  netsim.Capacity{UpKbps: 448, DownKbps: 2048},
 	}
-	return NewPeer(host, 12345, channel, 400, _t0)
+	return tab.Add(host, 12345, channel, 400, _t0)
 }
 
 func testLink(scoreKbps float64) netsim.Link {
@@ -26,8 +30,9 @@ func testLink(scoreKbps float64) netsim.Link {
 }
 
 func TestConnectEstablishesBothSides(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p, q := testPeer(1, "CCTV1"), testPeer(2, "CCTV1")
+	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
 	if !Connect(p, q, testLink(500), cfg, _t0) {
 		t.Fatal("Connect failed")
 	}
@@ -43,10 +48,11 @@ func TestConnectEstablishesBothSides(t *testing.T) {
 }
 
 func TestConnectRejections(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p := testPeer(1, "CCTV1")
-	q := testPeer(2, "CCTV1")
-	other := testPeer(3, "CCTV4")
+	p := testPeer(tab, 1, "CCTV1")
+	q := testPeer(tab, 2, "CCTV1")
+	other := testPeer(tab, 3, "CCTV4")
 
 	if Connect(p, p, testLink(500), cfg, _t0) {
 		t.Error("self-connection accepted")
@@ -57,6 +63,15 @@ func TestConnectRejections(t *testing.T) {
 	if Connect(p, other, testLink(500), cfg, _t0) {
 		t.Error("cross-channel connection accepted")
 	}
+	// A partner entry names its far side by handle, which only means
+	// something in the table both peers share.
+	stranger := testPeer(NewTable(0), 4, "CCTV1")
+	if Connect(p, stranger, testLink(500), cfg, _t0) || Connect(stranger, p, testLink(500), cfg, _t0) {
+		t.Error("connection across two tables accepted")
+	}
+	if p.PartnerCount() != 0 || stranger.PartnerCount() != 0 {
+		t.Errorf("refused connections left partners: %d, %d", p.PartnerCount(), stranger.PartnerCount())
+	}
 	if !Connect(p, q, testLink(500), cfg, _t0) {
 		t.Fatal("valid connect failed")
 	}
@@ -66,31 +81,33 @@ func TestConnectRejections(t *testing.T) {
 }
 
 func TestConnectServerCrossesChannels(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	server := testPeer(100, "")
+	server := testPeer(tab, 100, "")
 	server.MarkServer()
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	if !Connect(p, server, testLink(5000), cfg, _t0) {
 		t.Error("server connection refused")
 	}
 }
 
 func TestConnectRespectsMaxPartners(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
 	cfg.MaxPartners = 3
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	for i := 2; i <= 4; i++ {
-		if !Connect(p, testPeer(uint32(i), "CCTV1"), testLink(500), cfg, _t0) {
+		if !Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg, _t0) {
 			t.Fatalf("connect %d failed below cap", i)
 		}
 	}
-	if Connect(p, testPeer(99, "CCTV1"), testLink(500), cfg, _t0) {
+	if Connect(p, testPeer(tab, 99, "CCTV1"), testLink(500), cfg, _t0) {
 		t.Error("connection accepted beyond MaxPartners")
 	}
-	server := testPeer(200, "")
+	server := testPeer(tab, 200, "")
 	server.MarkServer()
 	for i := 0; i < 5; i++ {
-		q := testPeer(uint32(300+i), "CCTV1")
+		q := testPeer(tab, uint32(300+i), "CCTV1")
 		if !Connect(q, server, testLink(500), cfg, _t0) {
 			t.Error("server refused connection (servers always accept)")
 		}
@@ -98,8 +115,9 @@ func TestConnectRespectsMaxPartners(t *testing.T) {
 }
 
 func TestDisconnect(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p, q := testPeer(1, "CCTV1"), testPeer(2, "CCTV1")
+	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
 	Connect(p, q, testLink(500), cfg, _t0)
 	Disconnect(p, q)
 	if p.HasPartner(q.ID()) || q.HasPartner(p.ID()) {
@@ -110,11 +128,12 @@ func TestDisconnect(t *testing.T) {
 }
 
 func TestPartnerIDsSorted(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	var twenty *Peer
 	for _, a := range []uint32{50, 3, 999, 20, 7} {
-		q := testPeer(a, "CCTV1")
+		q := testPeer(tab, a, "CCTV1")
 		if a == 20 {
 			twenty = q
 		}
@@ -137,62 +156,70 @@ func TestPartnerIDsSorted(t *testing.T) {
 }
 
 func TestTopSuppliersRankedByScore(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	scores := map[uint32]float64{10: 100, 11: 900, 12: 500, 13: 700, 14: 300}
 	for a, s := range scores {
-		q := testPeer(a, "CCTV1")
+		q := testPeer(tab, a, "CCTV1")
 		if !Connect(p, q, testLink(s), cfg, _t0) {
 			t.Fatal("connect failed")
 		}
 	}
-	top := p.TopSuppliers(3)
+	top := p.RankSuppliers(nil, 3)
 	if len(top) != 3 {
-		t.Fatalf("TopSuppliers returned %d, want 3", len(top))
+		t.Fatalf("RankSuppliers returned %d, want 3", len(top))
 	}
 	want := []isp.Addr{11, 13, 12}
-	for i, pt := range top {
-		if pt.ID != want[i] {
-			t.Errorf("rank %d = %v, want %v", i, pt.ID, want[i])
+	for i, r := range top {
+		if r.Pt.ID != want[i] {
+			t.Errorf("rank %d = %v, want %v", i, r.Pt.ID, want[i])
 		}
 	}
-	if got := p.TopSuppliers(100); len(got) != 5 {
-		t.Errorf("TopSuppliers(100) = %d partners, want all 5", len(got))
+	if got := p.RankSuppliers(nil, 100); len(got) != 5 {
+		t.Errorf("RankSuppliers(100) = %d partners, want all 5", len(got))
 	}
 }
 
 func TestTopSuppliersTieBreakByID(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	for _, a := range []uint32{30, 10, 20} {
-		Connect(p, testPeer(a, "CCTV1"), testLink(400), cfg, _t0)
+		Connect(p, testPeer(tab, a, "CCTV1"), testLink(400), cfg, _t0)
 	}
-	top := p.TopSuppliers(3)
+	top := p.RankSuppliers(nil, 3)
+	if len(top) != 3 {
+		t.Fatalf("RankSuppliers returned %d, want 3", len(top))
+	}
 	for i := 1; i < len(top); i++ {
-		if top[i-1].ID > top[i].ID {
-			t.Errorf("equal scores not ID-ordered: %v", []isp.Addr{top[0].ID, top[1].ID, top[2].ID})
+		if top[i-1].Pt.ID > top[i].Pt.ID {
+			t.Errorf("equal scores not ID-ordered: %v", []isp.Addr{top[0].Pt.ID, top[1].Pt.ID, top[2].Pt.ID})
 		}
 	}
 }
 
-func TestResetWindowPreservesCumulative(t *testing.T) {
+// TestResetWindowClearsWindowCounters checks that a report's reset
+// clears only the window counters: the edge itself is untouched.
+func TestResetWindowClearsWindowCounters(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p, q := testPeer(1, "CCTV1"), testPeer(2, "CCTV1")
+	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
 	Connect(p, q, testLink(500), cfg, _t0)
 	pt := p.Partner(q.ID())
 	pt.WinRecv, pt.WinSent = 42, 17
-	pt.CumRecv, pt.CumSent = 42, 17
 	p.ResetWindow()
 	if pt.WinRecv != 0 || pt.WinSent != 0 {
 		t.Error("window counters not reset")
 	}
-	if pt.CumRecv != 42 || pt.CumSent != 17 {
-		t.Error("cumulative counters were reset")
+	if pt.ID != q.ID() || pt.Port != q.Port || pt.CapacityKbps != 500 || pt.Handle() != q.Handle() {
+		t.Errorf("reset changed the edge: %+v", *pt)
 	}
 }
 
 func TestUpdateQuality(t *testing.T) {
-	p := testPeer(1, "CCTV1")
+	tab := NewTable(0)
+	p := testPeer(tab, 1, "CCTV1")
 	p.SetQualityEWMA(1)
 	for i := 0; i < 50; i++ {
 		p.UpdateQuality(0)
@@ -209,7 +236,8 @@ func TestUpdateQuality(t *testing.T) {
 }
 
 func TestSpareUploadKbps(t *testing.T) {
-	p := testPeer(1, "CCTV1")
+	tab := NewTable(0)
+	p := testPeer(tab, 1, "CCTV1")
 	p.SetLastSentKbps(100)
 	if got := p.SpareUploadKbps(); got != 348 {
 		t.Errorf("SpareUploadKbps = %v, want 348", got)
@@ -221,11 +249,12 @@ func TestSpareUploadKbps(t *testing.T) {
 }
 
 func TestRecommendExcludesRequester(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	for i := 2; i <= 12; i++ {
-		Connect(p, testPeer(uint32(i), "CCTV1"), testLink(500), cfg, _t0)
+		Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg, _t0)
 	}
 	for trial := 0; trial < 50; trial++ {
 		rec := p.Recommend(rng, isp.Addr(5), 4)
@@ -246,10 +275,11 @@ func TestRecommendExcludesRequester(t *testing.T) {
 }
 
 func TestRecommendFewPartners(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
-	p := testPeer(1, "CCTV1")
-	Connect(p, testPeer(2, "CCTV1"), testLink(500), cfg, _t0)
+	p := testPeer(tab, 1, "CCTV1")
+	Connect(p, testPeer(tab, 2, "CCTV1"), testLink(500), cfg, _t0)
 	if rec := p.Recommend(rng, 99, 5); len(rec) != 1 {
 		t.Errorf("Recommend = %d IDs, want 1", len(rec))
 	}
@@ -295,4 +325,44 @@ func TestChurnZeroAllocs(t *testing.T) {
 	if sink < 0 {
 		t.Fatal("unreachable: keeps the results live")
 	}
+}
+
+// TestPartnerSlotLayout pins the partner storage layout. Partner and
+// edge hold no pointer, so the garbage collector never scans a peer's
+// partner storage, and their sizes are fixed, so a new field is a
+// deliberate choice.
+func TestPartnerSlotLayout(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Partner{}), reflect.TypeOf(edge{})} {
+		if path := pointerField(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer-bearing field: %s", typ.Name(), path)
+		}
+	}
+	if got := unsafe.Sizeof(Partner{}); got != 40 {
+		t.Errorf("Partner is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(edge{}); got != 16 {
+		t.Errorf("edge is %d bytes, want 16", got)
+	}
+}
+
+// pointerField returns the path of the first field of typ whose memory
+// holds a pointer, or "" if there is none.
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return path + " (" + typ.String() + ")"
+	case reflect.Array:
+		if typ.Len() > 0 {
+			return pointerField(typ.Elem(), path+"[0]")
+		}
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

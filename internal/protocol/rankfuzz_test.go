@@ -79,7 +79,7 @@ func (m *edgeModel) ranked(i int) []Ranked {
 // checkPeer compares peer i's observable partner state with the model:
 // PartnerCount, PartnerIDs in ascending order, the Partners walk,
 // RankSuppliers at several depths against the brute-force ranking, and
-// edge symmetry through each reciprocal slot.
+// edge symmetry through each far handle and reciprocal slot.
 func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int) {
 	t.Helper()
 	want := m.ranked(i)
@@ -100,13 +100,14 @@ func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int) {
 			t.Fatalf("step %d peer %v: Partners walk[%d] = %v, want %v", step, p.ID(), k, pt.ID, wantIDs[k])
 		}
 		k++
-		q := tab.PartnerPeer(pt)
-		if q == nil || q != tab.Lookup(pt.ID) {
-			t.Fatalf("step %d peer %v: partner %v does not resolve to its live peer", step, p.ID(), pt.ID)
+		q := tab.Peer(pt.Handle())
+		if q == nil || q != tab.Lookup(pt.ID) || q.Handle() != pt.Handle() {
+			t.Fatalf("step %d peer %v: partner %v's handle does not resolve to its live peer", step, p.ID(), pt.ID)
 		}
-		back := pt.Reciprocal()
-		if back.peer != p || back.ID != p.ID() || back.Reciprocal() != pt {
-			t.Fatalf("step %d peer %v: edge to %v is not symmetric through its reciprocal slot",
+		back := q.Slot(pt.Recip())
+		if !q.edges[pt.Recip()].live || back.Handle() != p.Handle() || back.ID != p.ID() ||
+			tab.Peer(back.Handle()).Slot(back.Recip()) != pt {
+			t.Fatalf("step %d peer %v: edge to %v is not symmetric through its handles and reciprocal slots",
 				step, p.ID(), pt.ID)
 		}
 	})

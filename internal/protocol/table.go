@@ -44,6 +44,9 @@ type Table struct {
 	// sustained churn the event plane stops allocating.
 	store []partnerStore
 
+	// peers resolves a handle to its boundary object, nil for a free
+	// slot: partner entries name their far side by handle.
+	peers  []*Peer
 	byAddr map[isp.Addr]*Peer
 	free   []Handle
 	live   int
@@ -125,6 +128,7 @@ func (t *Table) Add(host netsim.Host, port uint16, channel string, rateKbps floa
 		t.depth = append(t.depth, 0)
 		t.server = append(t.server, false)
 		t.store = append(t.store, partnerStore{})
+		t.peers = append(t.peers, nil)
 	}
 	t.rate[h] = rateKbps
 	t.up[h] = host.Cap.UpKbps
@@ -147,6 +151,7 @@ func (t *Table) Add(host netsim.Host, port uint16, channel string, rateKbps floa
 		partnerStore: t.store[h],
 	}
 	t.store[h] = partnerStore{}
+	t.peers[h] = p
 	t.byAddr[host.Addr] = p
 	t.live++
 	return p
@@ -166,6 +171,7 @@ func (t *Table) Remove(p *Peer) {
 	}
 	DisconnectAll(p)
 	delete(t.byAddr, p.Host.Addr)
+	t.peers[p.h] = nil
 	t.free = append(t.free, p.h)
 	t.live--
 	t.store[p.h] = p.partnerStore
@@ -176,12 +182,7 @@ func (t *Table) Remove(p *Peer) {
 // Lookup returns the live peer with the given address, or nil.
 func (t *Table) Lookup(addr isp.Addr) *Peer { return t.byAddr[addr] }
 
-// PartnerPeer resolves a partner entry to its peer in this table, or
-// nil if the entry is free or the partner belongs to another table.
-// Removal tears edges down, so a live entry never names a departed peer.
-func (t *Table) PartnerPeer(pt *Partner) *Peer {
-	if q := pt.peer; q != nil && q.tab == t {
-		return q
-	}
-	return nil
-}
+// Peer resolves a handle to its live peer, or nil if the slot is free.
+// A partner entry's Handle always resolves: removal tears edges down, so
+// a live entry never names a departed peer.
+func (t *Table) Peer(h Handle) *Peer { return t.peers[h] }

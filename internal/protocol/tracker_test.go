@@ -241,30 +241,37 @@ func TestSetISPIgnoredWithoutBias(t *testing.T) {
 }
 
 func TestLocalitySelectionBias(t *testing.T) {
+	tab := NewTable(0)
 	cfg := DefaultConfig()
-	p := testPeer(1, "CCTV1")
+	p := testPeer(tab, 1, "CCTV1")
 	p.LocalityBias = 2 // triple same-ISP scores
-	intra := testPeer(2, "CCTV1")
-	inter := testPeer(3, "CCTV1")
+	intra := testPeer(tab, 2, "CCTV1")
+	inter := testPeer(tab, 3, "CCTV1")
 	// The inter-ISP link is twice as fast, but the bias must outweigh it.
 	linkIntra := testLink(400)
 	linkIntra.SameISP = true
 	linkInter := testLink(800)
 	Connect(p, intra, linkIntra, cfg, _t0)
 	Connect(p, inter, linkInter, cfg, _t0)
-	top := p.TopSuppliers(1)
-	if len(top) != 1 || top[0].ID != intra.ID() {
-		t.Errorf("biased TopSuppliers ranked %v first, want the same-ISP partner", top[0].ID)
+	top := p.RankSuppliers(nil, 1)
+	if len(top) != 1 {
+		t.Fatalf("RankSuppliers(1) returned %d partners", len(top))
+	}
+	if top[0].Pt.ID != intra.ID() {
+		t.Errorf("biased RankSuppliers ranked %v first, want the same-ISP partner", top[0].Pt.ID)
 	}
 	// Without bias, raw quality wins. Scores freeze when a partnership
 	// forms, so the unbiased case needs its own peer: the sim fixes
 	// LocalityBias before any connect and never changes it afterwards.
-	q := testPeer(4, "CCTV1")
+	q := testPeer(tab, 4, "CCTV1")
 	Connect(q, intra, linkIntra, cfg, _t0)
 	Connect(q, inter, linkInter, cfg, _t0)
-	top = q.TopSuppliers(1)
-	if top[0].ID != inter.ID() {
-		t.Errorf("unbiased TopSuppliers ranked %v first, want the faster link", top[0].ID)
+	top = q.RankSuppliers(top[:0], 1)
+	if len(top) != 1 {
+		t.Fatalf("RankSuppliers(1) returned %d partners", len(top))
+	}
+	if top[0].Pt.ID != inter.ID() {
+		t.Errorf("unbiased RankSuppliers ranked %v first, want the faster link", top[0].Pt.ID)
 	}
 }
 

@@ -96,32 +96,35 @@ func (e *Exchange) blockTick(tab *protocol.Table, peers []*protocol.Peer, dt, el
 		missing = missing[:0]
 		missing = p.Buffer.Missing(missing, uint64(p.PlaySeg), uint64(horizon))
 		if len(missing) > 0 {
-			suppliers := p.TopSuppliers(e.cfg.TargetActive)
-			perLink := make([]float64, len(suppliers))
+			ranked := p.RankSuppliers(e.ranked[0][:0], e.cfg.TargetActive)
+			perLink := e.perLink[:0]
 			stripe := SegOf(rate, dt) * e.cfg.SpreadFraction * 2
-			for i, pt := range suppliers {
-				perLink[i] = SegOf(pt.Link.CapacityKbps, dt)
-				if perLink[i] > stripe {
-					perLink[i] = stripe
-				}
+			for _, rk := range ranked {
+				perLink = append(perLink, min(SegOf(rk.Pt.CapacityKbps, dt), stripe))
 			}
 			for _, seg := range missing {
-				for i, pt := range suppliers {
+				for i, rk := range ranked {
 					if perLink[i] < 1 {
 						continue
 					}
-					sp := tab.PartnerPeer(pt)
-					if sp == nil || e.budget[sp.Handle()] < 1 || !sp.Buffer.Has(seg) {
+					rp, sh := rk.Pt, rk.Pt.Handle()
+					sp := tab.Peer(sh)
+					if e.budget[sh] < 1 || !sp.Buffer.Has(seg) {
 						continue
 					}
-					// Deliver the segment.
+					// Deliver the segment, counting it on both ends of
+					// the edge at once.
 					p.Buffer.Set(seg)
-					e.budget[sp.Handle()]--
+					e.budget[sh]--
 					perLink[i]--
-					applySeq(cols, sp, p, 1)
+					sp.Slot(rp.Recip()).WinSent++
+					rp.WinRecv++
+					cols.TickSent[sh]++
+					cols.TickRecv[p.Handle()]++
 					break
 				}
 			}
+			e.ranked[0], e.perLink = ranked[:0], perLink[:0]
 		}
 
 		// Playback phase: advance at stream rate but keep the startup

@@ -21,8 +21,8 @@
 // order can influence the result stays on a sequential spine:
 //
 //   - the receiver shuffle (the tick's only RNG use),
-//   - the merge that builds per-supplier request lists in first-request
-//     order, and
+//   - the merge that counting-sorts every request into one flat array,
+//     grouped by supplier in first-request order, and
 //   - the fold that accumulates receiver-side segment counts in exactly
 //     the (supplier, sorted-request) order the sequential engine applied
 //     them, so float addition order is unchanged.
@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/protocol"
 )
 
@@ -122,35 +123,51 @@ type Exchange struct {
 	rng     *rand.Rand
 	elapsed time.Duration // stream age, drives the block-mode live edge
 
+	// The mesh tick's inputs, set by Tick for the phase kernels that
+	// parallel runs. Tick clears them before it returns: cols aliases the
+	// table, and Add or Remove invalidates it.
+	tab   *protocol.Table
+	cols  protocol.Cols
+	peers []*protocol.Peer
+	dt    time.Duration
+
 	order    []*protocol.Peer    // scratch: shuffled receiver order
 	perRecv  [][]request         // scratch: requests per shuffled position
-	perSup   [][]grantReq        // scratch: requests per supplier slot
-	touched  []protocol.Handle   // scratch: supplier slots used this tick
-	supOrder []*protocol.Peer    // scratch: suppliers in first-request order
+	grants   []grantReq          // scratch: every request, grouped by supplier
+	supOrder []protocol.Handle   // scratch: suppliers in first-request order
+	supStart []int32             // scratch: supOrder[k]'s requests are grants[supStart[k]:supStart[k+1]]
+	cursor   []int32             // scratch by supplier handle, zero between ticks
 	ranked   [][]protocol.Ranked // per-worker supplier-ranking scratch
+	perLink  []float64           // block-mode per-supplier stripe
 	budget   []float64           // block-mode per-slot upload budget
 	missing  []uint64            // block-mode scratch
 }
 
 // request is one receiver→supplier pull, recorded during the parallel
-// request phase and merged on the sequential spine. rp is the
-// receiver-side partner entry for the supplier — partner lists never
-// mutate during a tick, so the pointer stays valid through the grant
-// phase and saves the supplier a by-ID search per grant.
+// request phase and merged on the sequential spine. It names the
+// supplier by handle and the edge by both of its entries: rp, the
+// receiver-side entry, and slot, the supplier-side one. Partner lists
+// never mutate during a tick, so both stay valid through the grant
+// phase and the supplier never searches for the edge.
 type request struct {
-	sup *protocol.Peer
-	rp  *protocol.Partner
-	seg float64
+	rp   *protocol.Partner
+	seg  float64
+	sup  protocol.Handle
+	slot int32
 }
 
-// grantReq is one entry of a supplier's per-tick request list. granted
-// is filled by the parallel grant phase and folded into the receiver's
-// accumulator on the sequential spine.
+// grantReq is one entry of a supplier's run of the flat request array.
+// It carries the receiver's handle and ID inline, so the grant sort and
+// the fold never dereference a peer. granted is filled by the parallel
+// grant phase and folded into the receiver's accumulator on the
+// sequential spine.
 type grantReq struct {
-	recv    *protocol.Peer
 	rp      *protocol.Partner
 	seg     float64
 	granted float64
+	recv    protocol.Handle
+	id      isp.Addr
+	slot    int32
 }
 
 // NewExchange builds an exchange engine.
@@ -164,16 +181,19 @@ func NewExchange(cfg Config, rng *rand.Rand) *Exchange {
 }
 
 // parallel partitions [0,n) into contiguous chunks across the
-// configured shard count and runs fn(lo, hi, worker) for each. With one
-// shard (or one item) it runs inline.
-func (e *Exchange) parallel(n int, fn func(lo, hi, worker int)) {
+// configured shard count and runs fn(e, lo, hi, worker) for each. With
+// one shard (or one item) it runs inline. fn is a plain function that
+// reads the tick's inputs from e: a closure would escape through the
+// goroutine branch and cost an allocation per phase on the inline path
+// too.
+func (e *Exchange) parallel(n int, fn func(e *Exchange, lo, hi, worker int)) {
 	w := e.cfg.Shards
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
 		if n > 0 {
-			fn(0, n, 0)
+			fn(e, 0, n, 0)
 		}
 		return
 	}
@@ -191,7 +211,7 @@ func (e *Exchange) parallel(n int, fn func(lo, hi, worker int)) {
 		wg.Add(1)
 		go func(lo, hi, i int) {
 			defer wg.Done()
-			fn(lo, hi, i)
+			fn(e, lo, hi, i)
 		}(lo, hi, i)
 	}
 	wg.Wait()
@@ -201,8 +221,8 @@ func (e *Exchange) parallel(n int, fn func(lo, hi, worker int)) {
 // their best suppliers, suppliers water-fill their upload budgets across
 // requesters, and all per-link and per-peer counters are updated.
 //
-// tab holds the live population's hot columns; partner entries that no
-// longer resolve in it are treated as departed and skipped.
+// tab is the table every peer belongs to: partner entries name their
+// far side by handle in it.
 func (e *Exchange) Tick(tab *protocol.Table, peers []*protocol.Peer, dt time.Duration) {
 	e.elapsed += dt
 	cols := tab.Cols()
@@ -217,6 +237,7 @@ func (e *Exchange) Tick(tab *protocol.Table, peers []*protocol.Peer, dt time.Dur
 		e.blockTick(tab, peers, dt, e.elapsed)
 		return
 	}
+	e.tab, e.cols, e.peers, e.dt = tab, cols, peers, dt
 
 	// Phase 1a (sequential): shuffled receiver order, so no peer has a
 	// systematic first-mover advantage across a run. The tick's only
@@ -236,69 +257,102 @@ func (e *Exchange) Tick(tab *protocol.Table, peers []*protocol.Peer, dt time.Dur
 	for len(e.perRecv) < n {
 		e.perRecv = append(e.perRecv, nil)
 	}
-	e.parallel(n, func(lo, hi, w int) {
-		for i := lo; i < hi; i++ {
-			e.perRecv[i] = e.collectInto(e.perRecv[i][:0], e.order[i], tab, cols, dt, w)
-		}
-	})
+	e.parallel(n, collectPhase)
 
-	// Phase 1c (sequential spine): merge per-receiver lists into
-	// per-supplier lists. Walking positions in shuffle order recreates
-	// the exact first-request supplier order of the sequential engine.
-	for _, h := range e.touched {
-		e.perSup[h] = e.perSup[h][:0]
-	}
-	e.touched = e.touched[:0]
-	e.supOrder = e.supOrder[:0]
-	for len(e.perSup) < tab.Cap() {
-		e.perSup = append(e.perSup, nil)
-	}
-	for i := 0; i < n; i++ {
-		p := e.order[i]
-		for _, rq := range e.perRecv[i] {
-			h := rq.sup.Handle()
-			if len(e.perSup[h]) == 0 {
-				e.supOrder = append(e.supOrder, rq.sup)
-				e.touched = append(e.touched, h)
-			}
-			e.perSup[h] = append(e.perSup[h], grantReq{recv: p, rp: rq.rp, seg: rq.seg})
-		}
-	}
+	// Phase 1c (sequential spine): merge the per-receiver lists into one
+	// flat array grouped by supplier.
+	e.groupBySupplier(n, tab.Cap())
 
 	// Phase 2a (parallel): suppliers water-fill. Each writes only
-	// supplier-owned state: its request list (sort + granted amounts),
-	// its tick-sent/share columns, its own partner counters, and the
-	// receiver-side counter of the partner edge pointing back at it —
-	// distinct memory per (supplier, receiver) pair.
-	e.parallel(len(e.supOrder), func(lo, hi, w int) {
-		for _, s := range e.supOrder[lo:hi] {
-			e.grant(s, cols, dt)
-		}
-	})
+	// supplier-owned state: its run of the request array (sort + granted
+	// amounts), its tick-sent/share columns, its own partner counters,
+	// and the receiver-side counter of the partner edge pointing back at
+	// it — distinct memory per (supplier, receiver) pair.
+	e.parallel(len(e.supOrder), grantPhase)
 
 	// Phase 2b (sequential spine): fold granted segments into receiver
 	// accumulators in the exact (first-request supplier, sorted request)
-	// order the sequential engine applied them, so float addition order
-	// is bit-identical.
-	for _, s := range e.supOrder {
-		for _, r := range e.perSup[s.Handle()] {
-			if r.granted > 0 {
-				cols.TickRecv[r.recv.Handle()] += r.granted
-			}
+	// order the sequential engine applied them — the flat array's order
+	// — so float addition order is bit-identical.
+	for i := range e.grants {
+		if r := &e.grants[i]; r.granted > 0 {
+			cols.TickRecv[r.recv] += r.granted
 		}
 	}
 
 	// Phase 3 (parallel): finalize per-peer aggregates and quality.
-	e.parallel(len(peers), func(lo, hi, w int) {
-		finalizeMesh(peers[lo:hi], cols, dt)
-	})
+	e.parallel(len(peers), finalizePhase)
+	e.tab, e.cols, e.peers = nil, protocol.Cols{}, nil
+}
+
+// groupBySupplier counting-sorts the request lists of the first n
+// shuffled receivers into grants, one run per supplier, and lists the
+// suppliers in supOrder with their runs' bounds in supStart. Walking
+// positions in shuffle order recreates the sequential engine's order:
+// suppliers in first-request order, each supplier's requests in
+// shuffle order. cursor, indexed by supplier handle (capHandles is the
+// table's slot count), first counts each supplier's requests, then
+// marks where its next one goes, and is zeroed again on return.
+func (e *Exchange) groupBySupplier(n, capHandles int) {
+	for len(e.cursor) < capHandles {
+		e.cursor = append(e.cursor, 0)
+	}
+	e.supOrder = e.supOrder[:0]
+	for _, reqs := range e.perRecv[:n] {
+		for _, rq := range reqs {
+			if e.cursor[rq.sup] == 0 {
+				e.supOrder = append(e.supOrder, rq.sup)
+			}
+			e.cursor[rq.sup]++
+		}
+	}
+	e.supStart = e.supStart[:0]
+	total := int32(0)
+	for _, h := range e.supOrder {
+		e.supStart = append(e.supStart, total)
+		total, e.cursor[h] = total+e.cursor[h], total
+	}
+	e.supStart = append(e.supStart, total)
+	e.grants = slices.Grow(e.grants[:0], int(total))[:total]
+	for i, reqs := range e.perRecv[:n] {
+		recv, id := e.order[i].Handle(), e.order[i].ID()
+		for _, rq := range reqs {
+			k := e.cursor[rq.sup]
+			e.cursor[rq.sup] = k + 1
+			e.grants[k] = grantReq{rp: rq.rp, seg: rq.seg, recv: recv, id: id, slot: rq.slot}
+		}
+	}
+	for _, h := range e.supOrder {
+		e.cursor[h] = 0
+	}
+}
+
+// collectPhase computes the request lists of receivers [lo, hi).
+func collectPhase(e *Exchange, lo, hi, w int) {
+	for i := lo; i < hi; i++ {
+		e.perRecv[i] = e.collectInto(e.perRecv[i][:0], e.order[i], e.cols, e.dt, w)
+	}
+}
+
+// grantPhase water-fills suppliers supOrder[lo:hi].
+func grantPhase(e *Exchange, lo, hi, _ int) {
+	for k := lo; k < hi; k++ {
+		e.grant(k, e.cols, e.dt)
+	}
+}
+
+// finalizePhase finalizes peers [lo, hi).
+func finalizePhase(e *Exchange, lo, hi, _ int) {
+	finalizeMesh(e.peers[lo:hi], e.cols, e.dt)
 }
 
 // collectInto computes one receiver's pull requests — a pure function
-// of previous-tick state — appending them to dst.
+// of previous-tick state — appending them to dst. Suppliers are read
+// through the receiver's own partner entries and the table columns,
+// never through a far-side peer.
 //
 //magellan:hotpath
-func (e *Exchange) collectInto(dst []request, p *protocol.Peer, tab *protocol.Table, cols protocol.Cols, dt time.Duration, worker int) []request {
+func (e *Exchange) collectInto(dst []request, p *protocol.Peer, cols protocol.Cols, dt time.Duration, worker int) []request {
 	h := p.Handle()
 	demand := SegOf(cols.Rate[h], dt)
 	if demand <= 0 {
@@ -314,15 +368,11 @@ func (e *Exchange) collectInto(dst []request, p *protocol.Peer, tab *protocol.Ta
 	ranked := p.RankSuppliers(e.ranked[worker][:0], e.cfg.TargetActive)
 	for _, rk := range ranked {
 		pt := rk.Pt
-		sp := tab.PartnerPeer(pt)
-		if sp == nil {
-			continue
-		}
-		sh := sp.Handle()
+		sh := pt.Handle()
 		if e.cfg.Mode == ModeTreePush && !cols.Server[sh] && cols.Depth[sh] >= cols.Depth[h] {
 			continue
 		}
-		est := SegOf(pt.Link.CapacityKbps, dt)
+		est := SegOf(pt.CapacityKbps, dt)
 		if share := SegOf(cols.Share[sh], dt); share < est {
 			est = share
 		}
@@ -342,7 +392,7 @@ func (e *Exchange) collectInto(dst []request, p *protocol.Peer, tab *protocol.Ta
 		if amount <= 0 {
 			break
 		}
-		dst = append(dst, request{sup: sp, rp: pt, seg: amount})
+		dst = append(dst, request{rp: pt, seg: amount, sup: sh, slot: pt.Recip()})
 		covered += amount
 		if covered >= want {
 			break
@@ -352,25 +402,23 @@ func (e *Exchange) collectInto(dst []request, p *protocol.Peer, tab *protocol.Ta
 	return dst
 }
 
-// grant water-fills the supplier's upload budget across its requesters:
-// requests smaller than the fair share are fully served, and the freed
-// budget is redistributed among the rest. Receiver-side tick
+// grant water-fills supplier supOrder[k]'s upload budget across its
+// requesters: requests smaller than the fair share are fully served, and
+// the freed budget is redistributed among the rest. Receiver-side tick
 // accumulators are NOT touched here — the granted amounts are folded on
 // the sequential spine.
 //
 //magellan:hotpath
-func (e *Exchange) grant(s *protocol.Peer, cols protocol.Cols, dt time.Duration) {
-	h := s.Handle()
-	reqs := e.perSup[h]
-	if len(reqs) == 0 {
-		return
-	}
+func (e *Exchange) grant(k int, cols protocol.Cols, dt time.Duration) {
+	h := e.supOrder[k]
+	s := e.tab.Peer(h)
+	reqs := e.grants[e.supStart[k]:e.supStart[k+1]]
 	budget := SegOf(cols.Up[h], dt)
 	slices.SortFunc(reqs, func(a, b grantReq) int {
 		if a.seg != b.seg {
 			return cmp.Compare(a.seg, b.seg)
 		}
-		return cmp.Compare(a.recv.ID(), b.recv.ID())
+		return cmp.Compare(a.id, b.id)
 	})
 	remaining := budget
 	for i := range reqs {
@@ -385,11 +433,8 @@ func (e *Exchange) grant(s *protocol.Peer, cols protocol.Cols, dt time.Duration)
 		}
 		remaining -= g
 		r.granted = g
-		sp := r.rp.Reciprocal()
-		sp.WinSent += g
-		sp.CumSent += g
+		s.Slot(r.slot).WinSent += g
 		r.rp.WinRecv += g
-		r.rp.CumRecv += g
 		cols.TickSent[h] += g
 	}
 	// Advertise next tick's expected per-receiver share.
@@ -413,21 +458,6 @@ func finalizeMesh(peers []*protocol.Peer, cols protocol.Cols, dt time.Duration) 
 			p.UpdateQuality(cols.TickRecv[h] / demand)
 		}
 	}
-}
-
-// applySeq transfers seg segments from s to r with all counters updated
-// immediately — the sequential (block-mode) path.
-func applySeq(cols protocol.Cols, s, r *protocol.Peer, seg float64) {
-	if sp := s.Partner(r.ID()); sp != nil {
-		sp.WinSent += seg
-		sp.CumSent += seg
-	}
-	if rp := r.Partner(s.ID()); rp != nil {
-		rp.WinRecv += seg
-		rp.CumRecv += seg
-	}
-	cols.TickSent[s.Handle()] += seg
-	cols.TickRecv[r.Handle()] += seg
 }
 
 // ComputeDepths assigns every peer its hop distance from the nearest
