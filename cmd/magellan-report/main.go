@@ -66,6 +66,9 @@ func run(args []string) error {
 		ExtraChannels:   *channels,
 		Sink:            store,
 	}
+	if err := cfg.CheckScale(); err != nil {
+		return err
+	}
 	if *flashcrowd {
 		cfg.Crowds = []workload.FlashCrowd{workload.MidAutumnFlashCrowd()}
 	}

@@ -16,23 +16,20 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"github.com/magellan-p2p/magellan/internal/alert"
 	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/live"
 	"github.com/magellan-p2p/magellan/internal/obs"
 	"github.com/magellan-p2p/magellan/internal/obs/buildinfo"
+	"github.com/magellan-p2p/magellan/internal/opsurface"
 	"github.com/magellan-p2p/magellan/internal/trace"
-	"github.com/magellan-p2p/magellan/internal/tsdb"
 )
 
 func main() {
@@ -45,62 +42,37 @@ func main() {
 // run starts the daemon and blocks until stop closes (or a signal
 // arrives when stop is nil).
 func run(args []string, stop <-chan struct{}) error {
-	fs := flag.NewFlagSet("magellan-serve", flag.ContinueOnError)
-	var (
-		listen   = fs.String("listen", "127.0.0.1:9600", "UDP address for report ingestion (shard K listens on port+K-1; port 0 gives every shard an ephemeral port)")
-		outDir   = fs.String("out", "traces", "directory for rotated binary trace files (sharded fleets write shard-NN/ subdirectories)")
-		shards   = fs.Int("shards", 1, "ingest fleet size; reports are partitioned by peer address, and magellan-analyze merges the per-shard files deterministically")
-		httpAddr = fs.String("http", "", "HTTP status/metrics address (empty: disabled)")
-		rotate   = fs.Duration("rotate", time.Hour, "trace-file rotation period")
-		queue    = fs.Int("queue", 0, "ingest queue depth (0: default)")
-		journal  = fs.Int("journal", obs.DefaultJournalCapacity, "flight-recorder ring capacity for /events lifecycle tracing (0: disabled)")
-		pprofOn  = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP address")
-		selfLog  = fs.Duration("selflog", time.Minute, "period for self-logging queue stats to stderr (0: disabled)")
-		liveOn   = fs.Bool("live", false, "run the live analysis plane: incremental per-epoch topology metrics on /live and /live/epochs")
-		liveDB   = fs.String("live-ispdb", "", "ISP range database for the live plane's intra/inter-ISP splits (empty: all addresses Unknown)")
-		history  = fs.Duration("history", 0, "metrics-history sampling cadence for /history (0: disabled)")
-		histCap  = fs.Int("history-cap", tsdb.DefaultCapacity, "metrics-history samples retained per series")
-		histOut  = fs.String("history-out", "", "write the retained metrics history as JSON lines to this file on shutdown (requires -history)")
-		alertsOn = fs.Bool("alerts", false, "evaluate the default alert rule pack each history sample and serve /alerts (requires -history)")
-		version  = fs.Bool("version", false, "print version and exit")
-	)
-	if err := fs.Parse(args); err != nil {
+	var cfg daemonConfig
+	if err := cfg.flagSet().Parse(args); err != nil {
 		return err
 	}
-	if *version {
+	if cfg.version {
 		fmt.Println(buildinfo.String("magellan-serve"))
 		return nil
 	}
 
-	d, err := newDaemon(daemonConfig{
-		listen: *listen, outDir: *outDir, httpAddr: *httpAddr,
-		rotate: *rotate, queue: *queue, journal: *journal,
-		shards: *shards, pprof: *pprofOn, selfLog: *selfLog,
-		live: *liveOn, liveISPDB: *liveDB,
-		history: *history, historyCap: *histCap, historyOut: *histOut,
-		alerts: *alertsOn,
-	})
+	d, err := newDaemon(cfg)
 	if err != nil {
 		return err
 	}
 	if d.fleet.Len() > 1 {
 		fmt.Printf("trace fleet of %d shards, writing %s, rotating every %v\n",
-			d.fleet.Len(), *outDir, *rotate)
+			d.fleet.Len(), cfg.outDir, cfg.rotate)
 		for i, a := range d.fleet.Addrs() {
 			fmt.Printf("  shard %d on udp://%s\n", i+1, a)
 		}
 	} else {
 		fmt.Printf("trace server on udp://%s, writing %s, rotating every %v\n",
-			d.udp.Addr(), *outDir, *rotate)
+			d.udp.Addr(), cfg.outDir, cfg.rotate)
 	}
 	if d.recoveredFiles > 0 {
 		fmt.Printf("recovered %d torn trace file(s), truncated %d byte(s)\n",
 			d.recoveredFiles, d.truncatedBytes)
 	}
-	if d.httpLn != nil {
-		fmt.Printf("status on http://%s/status, metrics on /metrics, readiness on /healthz\n", d.httpLn.Addr())
-		if *liveOn {
-			fmt.Printf("live topology observatory on http://%s/live (JSON on /live/epochs)\n", d.httpLn.Addr())
+	if addr := d.surf.Addr(); addr != "" {
+		fmt.Printf("status on http://%s/status, metrics on /metrics, readiness on /healthz\n", addr)
+		if cfg.live {
+			fmt.Printf("live topology observatory on http://%s/live (JSON on /live/epochs)\n", addr)
 		}
 	}
 
@@ -233,30 +205,36 @@ func (s *rotatingSink) Rotations() uint64 {
 	return uint64(s.seq)
 }
 
-// daemonConfig collects the daemon's knobs; the positional-argument
-// constructor stopped scaling at five parameters.
+// daemonConfig holds every flag, bound by flagSet, plus the self-log
+// destination tests inject (nil means os.Stderr).
 type daemonConfig struct {
-	listen   string        // UDP ingest address
-	outDir   string        // trace file directory
-	httpAddr string        // HTTP status/metrics address; "" disables
-	rotate   time.Duration // trace-file rotation period
-	queue    int           // ingest queue depth; 0 means default
-	journal  int           // flight-recorder ring capacity; 0 disables
-	shards   int           // ingest fleet size; 0 or 1 means standalone
-	pprof    bool          // mount net/http/pprof under /debug/pprof/
-	selfLog  time.Duration // queue-stats self-log period; 0 disables
-	logSink  io.Writer     // self-log destination; nil means os.Stderr
-
-	live      bool   // run the live analysis plane
-	liveISPDB string // ISP range database path for the live plane; "" means empty DB
-
-	history    time.Duration // metrics-history sampling cadence; 0 disables
-	historyCap int           // samples retained per series; 0 means default
-	historyOut string        // shutdown JSONL destination; "" disables
-	alerts     bool          // evaluate the default rule pack each sample
+	listen, outDir, liveISPDB string
+	shards, queue, journal    int
+	rotate, selfLog           time.Duration
+	pprof, live, version      bool
+	surface                   opsurface.Flags
+	logSink                   io.Writer
 }
 
-// daemon ties the UDP ingest fleet, rotating sinks, and status endpoint
+// flagSet binds every magellan-serve flag to cfg.
+func (cfg *daemonConfig) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("magellan-serve", flag.ContinueOnError)
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:9600", "UDP address for report ingestion (shard K listens on port+K-1; port 0 gives every shard an ephemeral port)")
+	fs.StringVar(&cfg.outDir, "out", "traces", "directory for rotated binary trace files (sharded fleets write shard-NN/ subdirectories)")
+	fs.IntVar(&cfg.shards, "shards", 1, "ingest fleet size; reports are partitioned by peer address, and magellan-analyze merges the per-shard files deterministically")
+	fs.DurationVar(&cfg.rotate, "rotate", time.Hour, "trace-file rotation period")
+	fs.IntVar(&cfg.queue, "queue", 0, "ingest queue depth (0: default)")
+	fs.IntVar(&cfg.journal, "journal", obs.DefaultJournalCapacity, "flight-recorder ring capacity for /events lifecycle tracing (0: disabled)")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP address")
+	fs.DurationVar(&cfg.selfLog, "selflog", time.Minute, "period for self-logging queue stats to stderr (0: disabled)")
+	fs.BoolVar(&cfg.live, "live", false, "run the live analysis plane: incremental per-epoch topology metrics on /live and /live/epochs")
+	fs.StringVar(&cfg.liveISPDB, "live-ispdb", "", "ISP range database for the live plane's intra/inter-ISP splits (empty: all addresses Unknown)")
+	fs.BoolVar(&cfg.version, "version", false, "print version and exit")
+	cfg.surface.Register(fs)
+	return fs
+}
+
+// daemon ties the UDP ingest fleet, rotating sinks, and operator surface
 // together. udp and sink alias shard 0's members: with -shards 1 (the
 // default) they are simply "the server" and "the sink", exactly as
 // before the fleet existed.
@@ -265,33 +243,12 @@ type daemon struct {
 	udp     *trace.Server
 	sinks   []*rotatingSink
 	sink    *rotatingSink
-	httpLn  net.Listener
-	httpSrv *http.Server
+	surf    *opsurface.Surface
 	started time.Time
-
-	reg     *obs.Registry
-	logger  *obs.Logger
-	journal *obs.Journal
 
 	// live is the streaming analysis plane; nil when -live is off (the
 	// /live endpoints still mount — they serve the empty series).
 	live *live.Analyzer
-	// hist/alertEng are the metrics-history and alerting planes; nil
-	// when -history/-alerts are off (the /history and /alerts endpoints
-	// still mount — nil-safe handlers serve the empty surfaces).
-	hist       *tsdb.DB
-	alertEng   *alert.Engine
-	historyOut string
-	// ready gates /healthz: true once construction finishes, false the
-	// moment Close begins, so load balancers and CI probes see the
-	// drain before ingestion actually stops.
-	ready atomic.Bool
-
-	selfLogStop chan struct{}
-	selfLogWG   sync.WaitGroup
-
-	samplerStop chan struct{}
-	samplerWG   sync.WaitGroup
 
 	// Startup torn-tail recovery accounting (see recoverTraces).
 	recoveredFiles int
@@ -369,21 +326,36 @@ func sinkSeries(sinks []*rotatingSink, read func(*rotatingSink) uint64) []obs.Se
 	return out
 }
 
-func closeSinks(sinks []*rotatingSink) {
-	for _, s := range sinks {
-		if s != nil {
-			s.Close() //magellan:allow erridle — best-effort cleanup; the construction error wins
+// newDaemon builds the operator surface first, so a bad -http fails
+// before recovery or a sink touches a trace file; then the ingest data
+// plane on the surface's registry; then it starts serving.
+func newDaemon(cfg daemonConfig) (_ *daemon, err error) {
+	if cfg.rotate <= 0 {
+		return nil, fmt.Errorf("-rotate must be positive, got %v", cfg.rotate)
+	}
+	// The daemon's flight recorder stamps wall-clock instants (the
+	// simulator's is tick-stamped). One ring serves the whole fleet; every
+	// member's events carry its shard label.
+	var journal *obs.Journal
+	if cfg.journal > 0 {
+		journal = obs.NewWallJournal(cfg.journal)
+	}
+	surf, err := opsurface.New(cfg.surface, opsurface.Options{
+		Binary: "magellan-serve", Journal: journal,
+		Pprof: cfg.pprof, SelfLog: cfg.selfLog, LogSink: cfg.logSink,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var sinks []*rotatingSink
+	defer func() { // a construction error releases what was built so far
+		if err != nil {
+			for _, s := range sinks {
+				err = errors.Join(err, s.Close())
+			}
+			err = errors.Join(err, surf.Close())
 		}
-	}
-}
-
-func newDaemon(cfg daemonConfig) (*daemon, error) {
-	if cfg.alerts && cfg.history <= 0 {
-		return nil, fmt.Errorf("-alerts requires -history (the rule pack evaluates against the sampled history)")
-	}
-	if cfg.historyOut != "" && cfg.history <= 0 {
-		return nil, fmt.Errorf("-history-out requires -history")
-	}
+	}()
 	n := cfg.shards
 	if n <= 0 {
 		n = 1
@@ -399,38 +371,15 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		recovered += files
 		truncated += bytes
 	}
-	sinks := make([]*rotatingSink, n)
-	for i := range sinks {
-		s, err := newRotatingSink(dirs[i], cfg.rotate)
-		if err != nil {
-			closeSinks(sinks[:i])
-			return nil, err
-		}
-		sinks[i] = s
-	}
-	reg := obs.NewRegistry()
-	buildinfo.Register(reg, "magellan-serve")
-	obs.RegisterProcessMetrics(reg)
-	// The flight recorder lives in the daemon layer, so it stamps events
-	// with the wall clock; the deterministic tick-stamped variant is the
-	// simulator's. One ring serves the whole fleet — every member's
-	// events carry its shard label, so per-shard accounting survives the
-	// pooling.
-	var journal *obs.Journal
-	if cfg.journal > 0 {
-		journal = obs.NewWallJournal(cfg.journal)
-		obs.RegisterJournalMetrics(reg, journal)
-	}
 	addrs, err := shardListenAddrs(cfg.listen, n)
 	if err != nil {
-		closeSinks(sinks)
 		return nil, err
 	}
+	reg := surf.Registry()
 	var liveA *live.Analyzer
 	if cfg.live {
 		db, err := loadISPDB(cfg.liveISPDB)
 		if err != nil {
-			closeSinks(sinks)
 			return nil, err
 		}
 		liveA = live.New(live.Config{
@@ -440,6 +389,13 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 			NowNanos: func() int64 { return time.Now().UnixNano() },
 		})
 	}
+	for _, dir := range dirs {
+		s, err := newRotatingSink(dir, cfg.rotate)
+		if err != nil {
+			return nil, err
+		}
+		sinks = append(sinks, s)
+	}
 	fcfg := trace.FleetConfig{QueueDepth: cfg.queue, Obs: reg, Journal: journal}
 	if liveA != nil {
 		fcfg.Observe = liveA.Observe
@@ -448,20 +404,12 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		func(i int) (trace.Sink, error) { return sinks[i], nil },
 		fcfg)
 	if err != nil {
-		closeSinks(sinks)
 		return nil, err
-	}
-	logSink := cfg.logSink
-	if logSink == nil {
-		logSink = os.Stderr
 	}
 	d := &daemon{
 		fleet: fleet, udp: fleet.Server(0),
-		sinks: sinks, sink: sinks[0],
+		sinks: sinks, sink: sinks[0], surf: surf,
 		started:        time.Now(),
-		reg:            reg,
-		logger:         obs.NewLogger(logSink, obs.LevelInfo),
-		journal:        journal,
 		live:           liveA,
 		recoveredFiles: recovered, truncatedBytes: truncated,
 	}
@@ -489,122 +437,24 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 			"Trace files the shard opened (startup plus rotations).", "shard",
 			func() []obs.SeriesSample { return sinkSeries(sinks, (*rotatingSink).Rotations) })
 	}
-
-	// The metrics-history and alerting planes sample the registry the
-	// daemon already exports — they ride on top of measurement, never
-	// inside the ingest path. The alert meta-metrics register even with
-	// the engine off (nil-safe, reading zero), so the /metrics surface
-	// doesn't depend on flags.
-	if cfg.history > 0 {
-		d.hist = tsdb.New(reg, tsdb.Config{
-			Capacity: cfg.historyCap,
-			Now:      func() int64 { return time.Now().UnixNano() },
-		})
-		d.historyOut = cfg.historyOut
-		if cfg.alerts {
-			eng, err := alert.New(d.hist, alert.DefaultRules(), alert.Config{
-				Now: func() int64 { return time.Now().UnixNano() },
-			})
-			if err != nil {
-				fleet.Close() //magellan:allow erridle — best-effort cleanup; the rule-pack error wins
-				closeSinks(sinks)
-				return nil, err
-			}
-			d.alertEng = eng
-		}
-	}
-	alert.RegisterMetrics(reg, d.alertEng)
-
-	if cfg.httpAddr != "" {
-		ln, err := net.Listen("tcp", cfg.httpAddr)
-		if err != nil {
-			fleet.Close() //magellan:allow erridle — best-effort cleanup; the listen error wins
-			closeSinks(sinks)
-			return nil, err
-		}
-		mux := http.NewServeMux()
-		// /status and /events share obs.JSONHandler/EventsHandler, which
-		// share one guard: 405 with Allow on non-GET, application/json on
-		// the rest — the discipline can't drift between endpoints.
-		mux.Handle("/status", obs.JSONHandler(d.statusPayload))
-		mux.Handle("/events", obs.EventsHandler(d.journal))
-		mux.Handle("/metrics", obs.Handler(reg))
-		mux.Handle("/healthz", obs.HealthzHandler(buildinfo.String("magellan-serve"), d.ready.Load))
-		// The live endpoints mount unconditionally: handlers are nil-safe,
-		// so a daemon without -live serves the empty series rather than a
-		// config-dependent 404.
-		mux.Handle("/live", live.DashboardHandler(d.live, d.hist, d.alertEng))
-		mux.Handle("/live/epochs", live.EpochsHandler(d.live))
-		// Likewise /history and /alerts: nil-safe handlers, mounted
-		// unconditionally, so probing them never 404s on configuration.
-		mux.Handle("/history", tsdb.Handler(d.hist))
-		mux.Handle("/alerts", alert.Handler(d.alertEng))
-		if cfg.pprof {
-			// The default-mux registrations in net/http/pprof don't help
-			// here (we serve a private mux), so mount the handlers
-			// explicitly. Index serves the sub-profiles (heap, goroutine,
-			// …) by path, so one prefix route covers them.
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		d.httpLn = ln
-		d.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			// Serve exits with ErrServerClosed on shutdown; any other
-			// error means the status endpoint died, which is
-			// non-fatal for ingestion but worth a diagnostic.
-			if err := d.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "magellan-serve: status endpoint:", err)
-			}
-		}()
-	}
-
-	if cfg.selfLog > 0 {
-		d.selfLogStop = make(chan struct{})
-		d.selfLogWG.Add(1)
-		go d.selfLogLoop(cfg.selfLog)
-	}
-	if cfg.history > 0 {
-		d.samplerStop = make(chan struct{})
-		d.samplerWG.Add(1)
-		go d.samplerLoop(cfg.history)
-	}
-	d.ready.Store(true)
+	surf.Serve(opsurface.Plane{
+		Live: liveA,
+		Routes: func(mux *http.ServeMux) {
+			mux.Handle("/status", obs.JSONHandler(d.statusPayload))
+		},
+		LogMsg:    "ingest stats",
+		LogFields: d.selfLogFields,
+	})
 	return d, nil
 }
 
-// samplerLoop periodically snapshots the registry into the history
-// store and evaluates the alert rule pack over it. Pure measurement:
-// each sample reads the same atomics a /metrics scrape reads, under
-// store-local locks no ingest goroutine ever takes.
-func (d *daemon) samplerLoop(period time.Duration) {
-	defer d.samplerWG.Done()
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.samplerStop:
-			return
-		case <-t.C:
-			d.hist.Sample()
-			d.alertEng.Eval()
-		}
-	}
-}
-
 // loadISPDB reads an ISP range database from path; an empty path gives
-// the empty database (every address resolves Unknown), so the live
-// plane degrades rather than refusing to start.
+// nil, which live.New treats as the empty database (every address
+// resolves Unknown), so the live plane degrades rather than refusing to
+// start.
 func loadISPDB(path string) (*isp.Database, error) {
 	if path == "" {
-		db, err := isp.NewDatabase(nil)
-		if err != nil {
-			return nil, fmt.Errorf("ispdb: %w", err)
-		}
-		return db, nil
+		return nil, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -618,42 +468,24 @@ func loadISPDB(path string) (*isp.Database, error) {
 	return db, nil
 }
 
-// selfLogLoop periodically writes one structured record of the ingest
-// accounting, so an operator with only the daemon's stderr still sees
-// queue pressure developing.
-func (d *daemon) selfLogLoop(period time.Duration) {
-	defer d.selfLogWG.Done()
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.selfLogStop:
-			return
-		case <-t.C:
-			st := d.fleet.TotalStats()
-			firing, pending := d.alertEng.Counts()
-			d.logger.Info("ingest stats",
-				"shards", d.fleet.Len(),
-				"received", st.Received,
-				"rejected", st.Rejected,
-				"queueDrops", st.QueueDrops,
-				"sinkErrors", st.SinkErrors,
-				"written", d.totalWritten(),
-				"currentFile", d.sink.CurrentFile(),
-				"alertsFiring", firing,
-				"alertsPending", pending,
-			)
-		}
-	}
-}
-
-// totalWritten sums the fleet's persisted-report counts.
-func (d *daemon) totalWritten() uint64 {
-	var total uint64
+// selfLogFields is one self-log record of the ingest accounting, so an
+// operator with only the daemon's stderr still sees queue pressure
+// developing.
+func (d *daemon) selfLogFields() []any {
+	st := d.fleet.TotalStats()
+	var written uint64
 	for _, s := range d.sinks {
-		total += s.Written()
+		written += s.Written()
 	}
-	return total
+	return []any{
+		"shards", d.fleet.Len(),
+		"received", st.Received,
+		"rejected", st.Rejected,
+		"queueDrops", st.QueueDrops,
+		"sinkErrors", st.SinkErrors,
+		"written", written,
+		"currentFile", d.sink.CurrentFile(),
+	}
 }
 
 // statusPayload assembles the /status body; the HTTP discipline (method
@@ -693,54 +525,24 @@ func (d *daemon) statusPayload() any {
 	return payload
 }
 
+// Close drains the surface first, so probes see 503 while the fleet and
+// sinks wind down, then stops ingest, drains the live plane, closes the
+// sinks, and closes the surface last.
 func (d *daemon) Close() error {
-	// Flip /healthz to draining first: probes see 503 while the fleet
-	// and sinks wind down, not after.
-	d.ready.Store(false)
-	if d.selfLogStop != nil {
-		close(d.selfLogStop)
-		d.selfLogWG.Wait()
-	}
-	if d.samplerStop != nil {
-		close(d.samplerStop)
-		d.samplerWG.Wait()
-	}
+	d.surf.Drain()
 	err := d.fleet.Close()
 	// The fleet is closed, so no more Observe calls race the drain;
-	// every epoch still in flight finalizes before the HTTP server (and
-	// its last /live/epochs scrape) goes away.
+	// every epoch still in flight finalizes before the final history
+	// sample and before the HTTP server (and its last /live/epochs
+	// scrape) goes away.
 	d.live.Drain()
-	if d.httpSrv != nil {
-		if cerr := d.httpSrv.Close(); err == nil {
-			err = cerr
-		}
-	}
 	for _, s := range d.sinks {
 		if cerr := s.Close(); err == nil {
 			err = cerr
 		}
 	}
-	if d.historyOut != "" {
-		// One final sample so the snapshot ends with the drained state,
-		// then persist the retained window for magellan-report -health.
-		d.hist.Sample()
-		d.alertEng.Eval()
-		if cerr := writeHistory(d.hist, d.historyOut); err == nil {
-			err = cerr
-		}
+	if cerr := d.surf.Close(); err == nil {
+		err = cerr
 	}
 	return err
-}
-
-// writeHistory persists the retained metrics history as JSON lines.
-func writeHistory(db *tsdb.DB, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.WriteJSONL(f); err != nil {
-		f.Close() //magellan:allow erridle — best-effort cleanup; the write error wins
-		return err
-	}
-	return f.Close()
 }

@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"github.com/magellan-p2p/magellan/internal/alert"
 	"github.com/magellan-p2p/magellan/internal/isp"
+	"github.com/magellan-p2p/magellan/internal/opsurface"
+	"github.com/magellan-p2p/magellan/internal/opsurface/opsurfacetest"
 	"github.com/magellan-p2p/magellan/internal/trace"
 	"github.com/magellan-p2p/magellan/internal/tsdb"
 )
@@ -50,7 +55,7 @@ func sampleReport(addr uint32) trace.Report {
 
 func TestDaemonEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
+	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, surface: opsurface.Flags{HTTP: "127.0.0.1:0"}, rotate: time.Hour})
 	if err != nil {
 		t.Fatalf("newDaemon: %v", err)
 	}
@@ -75,7 +80,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Status endpoint.
-	resp, err := http.Get("http://" + d.httpLn.Addr().String() + "/status")
+	resp, err := http.Get("http://" + d.surf.Addr() + "/status")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
@@ -167,13 +172,13 @@ func TestRotation(t *testing.T) {
 // key on these field names, so a rename is a breaking change.
 func TestDaemonStatusShape(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
+	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, surface: opsurface.Flags{HTTP: "127.0.0.1:0"}, rotate: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
-	resp, err := http.Get("http://" + d.httpLn.Addr().String() + "/status")
+	resp, err := http.Get("http://" + d.surf.Addr() + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +223,7 @@ func TestDaemonStatusShape(t *testing.T) {
 // checks they surface as rejections on /status, not as received reports.
 func TestDaemonRejectedCounter(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
+	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, surface: opsurface.Flags{HTTP: "127.0.0.1:0"}, rotate: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +257,7 @@ func TestDaemonRejectedCounter(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 received / 2 rejected", st)
 	}
 
-	resp, err := http.Get("http://" + d.httpLn.Addr().String() + "/status")
+	resp, err := http.Get("http://" + d.surf.Addr() + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +308,7 @@ func TestRecoveryDaemonRestart(t *testing.T) {
 	}
 
 	// Second life: startup recovery truncates the tail.
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
+	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, surface: opsurface.Flags{HTTP: "127.0.0.1:0"}, rotate: time.Hour})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -312,7 +317,7 @@ func TestRecoveryDaemonRestart(t *testing.T) {
 		t.Errorf("recovery: files=%d bytes=%d, want 1 file and nonzero bytes", d.recoveredFiles, d.truncatedBytes)
 	}
 
-	resp, err := http.Get("http://" + d.httpLn.Addr().String() + "/status")
+	resp, err := http.Get("http://" + d.surf.Addr() + "/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,199 +407,30 @@ func TestRunStopChannel(t *testing.T) {
 	}
 }
 
-// TestDaemonMetricsEndpoint scrapes /metrics and checks the exposition
-// carries the ingest counters, the build-info gauge, and exactly one
-// TYPE line per family.
-func TestDaemonMetricsEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	client, err := trace.Dial(d.udp.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.Submit(sampleReport(5)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && d.udp.Received() < 1 {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	resp, err := http.Get("http://" + d.httpLn.Addr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
-	for _, want := range []string{
-		"magellan_ingest_received_total 1",
-		"magellan_ingest_queue_capacity",
-		"magellan_sink_submit_duration_seconds_count 1",
-		"magellan_sink_reports_written_total 1",
-		`magellan_build_info{binary="magellan-serve"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-	// One TYPE line per family — duplicates break scrapers.
-	seen := map[string]bool{}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			if seen[line] {
-				t.Errorf("duplicate TYPE line: %s", line)
-			}
-			seen[line] = true
-		}
-	}
-}
-
-// TestDaemonMethodNotAllowed pins 405 handling on both endpoints.
-func TestDaemonMethodNotAllowed(t *testing.T) {
-	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	for _, path := range []string{"/status", "/metrics"} {
-		resp, err := http.Post("http://"+d.httpLn.Addr().String()+path, "text/plain", strings.NewReader("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s = %d, want 405", path, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != "GET" {
-			t.Errorf("POST %s Allow = %q, want GET", path, allow)
-		}
-	}
-}
-
-// TestDaemonSelfLog runs the daemon with a fast self-log period and
-// checks structured queue-stats records reach the configured sink.
-func TestDaemonSelfLog(t *testing.T) {
-	dir := t.TempDir()
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	sink := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	d, err := newDaemon(daemonConfig{
-		listen: "127.0.0.1:0", outDir: dir, rotate: time.Hour,
-		selfLog: 10 * time.Millisecond, logSink: sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := buf.Len()
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no self-log records")
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("self-log record is not JSON: %v\n%s", err, lines[0])
-	}
-	for _, key := range []string{"ts", "level", "msg", "received", "queueDrops", "currentFile"} {
-		if _, ok := rec[key]; !ok {
-			t.Errorf("self-log record missing %q: %s", key, lines[0])
-		}
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestDaemonEndpointSweep table-drives every HTTP endpoint the daemon
-// mounts: GET answers 200 with the advertised Content-Type, non-GET is
-// 405 with an Allow header, and a concurrent scrape storm during
-// shutdown neither panics nor deadlocks.
+// TestDaemonEndpointSweep runs the shared endpoint table, plus /status,
+// against a daemon with every plane on, checks -pprof mounts
+// /debug/pprof/, and storms every endpoint with scrapes during
+// shutdown, which must neither panic nor deadlock.
 func TestDaemonEndpointSweep(t *testing.T) {
 	dir := t.TempDir()
 	d, err := newDaemon(daemonConfig{
-		listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0",
-		rotate: time.Hour, journal: 64, live: true,
-		history: 10 * time.Millisecond, alerts: true,
+		listen: "127.0.0.1:0", outDir: dir, rotate: time.Hour,
+		journal: 64, live: true, pprof: true,
+		surface: opsurface.Flags{HTTP: "127.0.0.1:0", History: 10 * time.Millisecond, Alerts: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + d.httpLn.Addr().String()
-
-	endpoints := []struct {
-		path        string
-		contentType string
-	}{
-		{"/status", "application/json"},
-		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/events", "application/json"},
-		{"/healthz", "application/json"},
-		{"/live", "text/html; charset=utf-8"},
-		{"/live/epochs", "application/json"},
-		{"/history", "application/json"},
-		{"/alerts", "application/json"},
+	base := "http://" + d.surf.Addr()
+	status := opsurfacetest.Endpoint{Path: "/status", ContentType: "application/json"}
+	opsurfacetest.Sweep(t, base, false, status)
+	resp, err := http.Get(base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ep := range endpoints {
-		resp, err := http.Get(base + ep.path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", ep.path, err)
-		}
-		io.Copy(io.Discard, resp.Body) //magellan:allow erridle — drained for connection reuse; the status line is the assertion
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", ep.path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != ep.contentType {
-			t.Errorf("GET %s Content-Type = %q, want %q", ep.path, ct, ep.contentType)
-		}
-
-		resp, err = http.Post(base+ep.path, "text/plain", strings.NewReader("x"))
-		if err != nil {
-			t.Fatalf("POST %s: %v", ep.path, err)
-		}
-		io.Copy(io.Discard, resp.Body) //magellan:allow erridle — drained for connection reuse; the status line is the assertion
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s = %d, want 405", ep.path, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != "GET" {
-			t.Errorf("POST %s Allow = %q, want GET", ep.path, allow)
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/pprof/ = %d with -pprof, want 200", resp.StatusCode)
 	}
 
 	// Scrape storm across shutdown: every endpoint hammered while Close
@@ -602,7 +438,7 @@ func TestDaemonEndpointSweep(t *testing.T) {
 	// panics or hangs are the failure mode under test.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, ep := range endpoints {
+	for _, ep := range append(slices.Clone(opsurfacetest.Endpoints), status) {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -619,7 +455,7 @@ func TestDaemonEndpointSweep(t *testing.T) {
 				io.Copy(io.Discard, resp.Body) //magellan:allow erridle — shutdown race; body content is irrelevant
 				resp.Body.Close()
 			}
-		}(ep.path)
+		}(ep.Path)
 	}
 	time.Sleep(20 * time.Millisecond)
 	if err := d.Close(); err != nil {
@@ -629,112 +465,83 @@ func TestDaemonEndpointSweep(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDaemonHealthzDrain pins the readiness lifecycle: 200 with the
-// build version while serving, 503 "draining" once shutdown begins.
-func TestDaemonHealthzDrain(t *testing.T) {
-	dir := t.TempDir()
-	d, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0", rotate: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	base := "http://" + d.httpLn.Addr().String()
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body struct {
-		Status  string `json:"status"`
-		Version string `json:"version"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode /healthz: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK || body.Status != "ok" {
-		t.Errorf("ready /healthz = %d %q, want 200 ok", resp.StatusCode, body.Status)
-	}
-	if !strings.Contains(body.Version, "magellan-serve") {
-		t.Errorf("version = %q, want the binary's build string", body.Version)
-	}
-
-	// Close flips ready before tearing anything down; the same flag read
-	// through the handler is what a drain-window probe would see.
-	d.ready.Store(false)
-	resp, err = http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("decode draining /healthz: %v", err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable || body.Status != "draining" {
-		t.Errorf("draining /healthz = %d %q, want 503 draining", resp.StatusCode, body.Status)
-	}
-}
-
-// TestDaemonHistoryAlerts drives the full history/alerting plane in a
-// running daemon: the sampler populates /history with the ingest
-// metric families, /alerts serves the default rule pack, and shutdown
-// persists a JSONL snapshot magellan-report -health can load.
-func TestDaemonHistoryAlerts(t *testing.T) {
+// TestDaemonSurfaceDataPlane checks that the ingest plane reports
+// through the shared surface: its families reach /metrics, the self-log
+// record and the persisted history.
+func TestDaemonSurfaceDataPlane(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "history.jsonl")
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	sink := writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	})
 	d, err := newDaemon(daemonConfig{
-		listen: "127.0.0.1:0", outDir: filepath.Join(dir, "traces"),
-		httpAddr: "127.0.0.1:0", rotate: time.Hour,
-		history: 5 * time.Millisecond, historyCap: 128,
-		historyOut: out, alerts: true,
+		listen: "127.0.0.1:0", outDir: filepath.Join(dir, "traces"), rotate: time.Hour,
+		selfLog: 10 * time.Millisecond, logSink: sink,
+		surface: opsurface.Flags{HTTP: "127.0.0.1:0", History: 5 * time.Millisecond, HistoryOut: out, Alerts: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + d.httpLn.Addr().String()
-
 	client, err := trace.Dial(d.udp.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	for i := 0; i < 10; i++ {
-		if err := client.Submit(sampleReport(uint32(200 + i))); err != nil {
-			t.Fatal(err)
-		}
+	if err := client.Submit(sampleReport(5)); err != nil {
+		t.Fatal(err)
 	}
-
-	// Wait for the sampler to retain the received-report series.
-	deadline := time.Now().Add(5 * time.Second)
-	var pts []any
-	for time.Now().Before(deadline) {
-		var body map[string]any
-		getJSON(t, base+"/history?metric=magellan_ingest_received_total", &body)
-		if p, ok := body["points"].([]any); ok && len(p) > 0 {
-			pts = p
+	// Wait for the sink to persist the report, and for one self-log record.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		mu.Lock()
+		n := buf.Len()
+		mu.Unlock()
+		if n > 0 && d.sink.Written() == 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(pts) == 0 {
-		t.Fatal("/history never retained magellan_ingest_received_total")
-	}
 
-	var alerts map[string]any
-	getJSON(t, base+"/alerts", &alerts)
-	rules, _ := alerts["rules"].([]any)
-	if len(rules) != len(alert.DefaultRules()) {
-		t.Fatalf("/alerts rules = %d, want %d", len(rules), len(alert.DefaultRules()))
+	resp, err := http.Get("http://" + d.surf.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evals, _ := alerts["evals"].(float64); evals == 0 {
-		t.Error("/alerts evals = 0, want > 0 (sampler should be evaluating)")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	for _, want := range []string{
+		"magellan_ingest_received_total 1",
+		"magellan_ingest_queue_capacity",
+		"magellan_sink_submit_duration_seconds_count 1",
+		"magellan_sink_reports_written_total 1",
+		`magellan_build_info{binary="magellan-serve"`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
 	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+		t.Fatal(err)
 	}
+
+	mu.Lock()
+	first, _, _ := strings.Cut(buf.String(), "\n")
+	mu.Unlock()
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(first), &rec); err != nil {
+		t.Fatalf("self-log record is not JSON: %v\n%s", err, first)
+	}
+	for _, key := range []string{"msg", "received", "queueDrops", "currentFile", "alertsFiring"} {
+		if _, ok := rec[key]; !ok {
+			t.Errorf("self-log record missing %q: %s", key, first)
+		}
+	}
+
 	f, err := os.Open(out)
 	if err != nil {
 		t.Fatalf("history snapshot missing: %v", err)
@@ -744,37 +551,103 @@ func TestDaemonHistoryAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
-	if db.Samples() == 0 {
-		t.Error("persisted history holds no samples")
-	}
 	if got := db.Match("magellan_ingest_received_total"); len(got) == 0 {
 		t.Error("persisted history lost the received-report series")
 	}
 }
 
-func getJSON(t *testing.T, url string, into any) {
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// traceFiles lists every *.trace file under dir, which need not exist.
+func traceFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	resp, err := http.Get(url)
+	var found []string
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err == nil && strings.HasSuffix(path, ".trace") {
+			found = append(found, path)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	return found
+}
+
+// stopped is a stop channel that is already closed: a run that wrongly
+// starts returns at once instead of blocking the test.
+func stopped() <-chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}
+
+// TestRunBusyHTTPCreatesNothing: the surface binds -http before recovery
+// or a sink touches -out, so a busy port fails the run with no trace file
+// created.
+func TestRunBusyHTTPCreatesNothing(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		t.Fatalf("decode %s: %v", url, err)
+	defer busy.Close()
+	dir := t.TempDir()
+	err = run([]string{"-listen", "127.0.0.1:0", "-out", dir, "-http", busy.Addr().String()}, stopped())
+	if err == nil || !strings.Contains(err.Error(), "-http") {
+		t.Fatalf("busy -http: err = %v, want an -http error", err)
+	}
+	if got := traceFiles(t, dir); len(got) != 0 {
+		t.Errorf("busy -http left trace files behind: %v", got)
 	}
 }
 
-// TestDaemonAlertFlagValidation pins the flag dependencies.
-func TestDaemonAlertFlagValidation(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, rotate: time.Hour, alerts: true}); err == nil {
-		t.Error("-alerts without -history accepted")
+// TestRunRejectsBadRotate: a rotation period ≤ 0 would open a new trace
+// file for every report.
+func TestRunRejectsBadRotate(t *testing.T) {
+	for _, rotate := range []string{"0", "-1s"} {
+		dir := t.TempDir()
+		err := run([]string{"-listen", "127.0.0.1:0", "-out", dir, "-rotate", rotate}, stopped())
+		if err == nil || !strings.Contains(err.Error(), "-rotate") {
+			t.Errorf("-rotate %s: err = %v, want a -rotate error", rotate, err)
+		}
+		if got := traceFiles(t, dir); len(got) != 0 {
+			t.Errorf("-rotate %s left trace files behind: %v", rotate, got)
+		}
 	}
-	if _, err := newDaemon(daemonConfig{listen: "127.0.0.1:0", outDir: dir, rotate: time.Hour, historyOut: "x"}); err == nil {
-		t.Error("-history-out without -history accepted")
+}
+
+// TestFlagPin pins every flag's name and default, so a new or changed
+// flag shows up here as a deliberate diff.
+func TestFlagPin(t *testing.T) {
+	var got []string
+	new(daemonConfig).flagSet().VisitAll(func(f *flag.Flag) {
+		got = append(got, "-"+f.Name+"="+f.DefValue)
+	})
+	want := []string{
+		"-alerts=false",
+		"-history=0s",
+		"-history-cap=1024",
+		"-history-out=",
+		"-http=",
+		"-journal=4096",
+		"-listen=127.0.0.1:9600",
+		"-live=false",
+		"-live-ispdb=",
+		"-out=traces",
+		"-pprof=false",
+		"-queue=0",
+		"-rotate=1h0m0s",
+		"-selflog=1m0s",
+		"-shards=1",
+		"-version=false",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -784,14 +657,14 @@ func TestDaemonAlertFlagValidation(t *testing.T) {
 func TestDaemonLiveEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	d, err := newDaemon(daemonConfig{
-		listen: "127.0.0.1:0", outDir: dir, httpAddr: "127.0.0.1:0",
+		listen: "127.0.0.1:0", outDir: dir, surface: opsurface.Flags{HTTP: "127.0.0.1:0"},
 		rotate: time.Hour, shards: 2, live: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	base := "http://" + d.httpLn.Addr().String()
+	base := "http://" + d.surf.Addr()
 
 	client, err := trace.DialSharded(d.fleet.Addrs()...)
 	if err != nil {

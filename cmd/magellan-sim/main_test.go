@@ -2,12 +2,22 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
+	"github.com/magellan-p2p/magellan/internal/opsurface/opsurfacetest"
 	"github.com/magellan-p2p/magellan/internal/trace"
 	"github.com/magellan-p2p/magellan/internal/tsdb"
 )
@@ -24,7 +34,7 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 		"-channels", "4",
 		"-trace", tracePath,
 		"-ispdb", dbPath,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -74,7 +84,7 @@ func TestRunHistoryAndSelfLog(t *testing.T) {
 		"-alerts",
 		"-selflog", "10ms",
 		"-history-out", out,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -102,19 +112,19 @@ func TestRunHistoryAndSelfLog(t *testing.T) {
 
 // TestRunHistoryFlagValidation pins the flag dependencies.
 func TestRunHistoryFlagValidation(t *testing.T) {
-	if err := run([]string{"-history", "1s"}); err == nil {
+	if err := run([]string{"-history", "1s"}, io.Discard); err == nil {
 		t.Error("-history without -http accepted")
 	}
-	if err := run([]string{"-http", "127.0.0.1:0", "-alerts"}); err == nil {
+	if err := run([]string{"-http", "127.0.0.1:0", "-alerts"}, io.Discard); err == nil {
 		t.Error("-alerts without -history accepted")
 	}
-	if err := run([]string{"-http", "127.0.0.1:0", "-history-out", "x"}); err == nil {
+	if err := run([]string{"-http", "127.0.0.1:0", "-history-out", "x"}, io.Discard); err == nil {
 		t.Error("-history-out without -history accepted")
 	}
 }
 
 func TestRunRejectsBadMode(t *testing.T) {
-	if err := run([]string{"-mode", "carrier-pigeon"}); err == nil {
+	if err := run([]string{"-mode", "carrier-pigeon"}, io.Discard); err == nil {
 		t.Error("bad -mode accepted")
 	}
 }
@@ -143,12 +153,12 @@ func badScaleArgs(dir string, bad []string) []string {
 }
 
 // TestRunRejectsBadScaleFlags: each bad scale flag must fail the run
-// instead of simulating something else.
+// with an error naming the flag, instead of simulating something else.
 func TestRunRejectsBadScaleFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, bad := range badScaleFlags {
-		if args := badScaleArgs(dir, bad); run(args) == nil {
-			t.Errorf("args %v accepted", args)
+		if err := run(badScaleArgs(dir, bad), io.Discard); err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%v: err = %v, want an error naming %s", bad, err, bad[0])
 		}
 	}
 }
@@ -159,7 +169,7 @@ func TestRunRejectsBadScaleFlags(t *testing.T) {
 func TestRunRejectsBadScaleFlagsWritesNothing(t *testing.T) {
 	for _, bad := range badScaleFlags {
 		dir := t.TempDir()
-		if run(badScaleArgs(dir, bad)) == nil {
+		if run(badScaleArgs(dir, bad), io.Discard) == nil {
 			t.Errorf("%v accepted", bad)
 			continue
 		}
@@ -188,7 +198,7 @@ func TestShardsProduceIdenticalTrace(t *testing.T) {
 			"-shards", shards,
 			"-trace", tracePath,
 			"-ispdb", filepath.Join(dir, name+".ispdb"),
-		})
+		}, io.Discard)
 		if err != nil {
 			t.Fatalf("run -shards %s: %v", shards, err)
 		}
@@ -215,7 +225,7 @@ func TestRunTreeMode(t *testing.T) {
 		"-flashcrowd=false",
 		"-trace", filepath.Join(dir, "t.trace"),
 		"-ispdb", filepath.Join(dir, "t.ispdb"),
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("tree-mode run: %v", err)
 	}
@@ -237,7 +247,7 @@ func TestChaosLossSweep(t *testing.T) {
 		"-dup", "0.02",
 		"-trace", tracePath,
 		"-ispdb", filepath.Join(dir, "chaos.ispdb"),
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -267,8 +277,171 @@ func TestChaosRejectsBadRates(t *testing.T) {
 			"-duration", "10m", "-concurrency", "50",
 			"-trace", filepath.Join(dir, "t.trace"),
 			"-ispdb", filepath.Join(dir, "t.ispdb"))
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer that run's goroutine may write while the
+// test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+var metricsLine = regexp.MustCompile(`metrics on http://(\S+)/metrics`)
+
+// TestRunEndpointSweep runs the shared endpoint table against a finished
+// run's linger window. The run has neither -live nor -history, and every
+// endpoint still answers; /healthz answers 503 "draining", and the sim
+// mounts no /debug/pprof/.
+func TestRunEndpointSweep(t *testing.T) {
+	dir := t.TempDir()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-seed", "3", "-duration", "1h", "-concurrency", "60", "-channels", "2",
+			"-flashcrowd=false", "-journal", "256",
+			"-trace", filepath.Join(dir, "t.trace"),
+			"-ispdb", filepath.Join(dir, "t.ispdb"),
+			"-http", "127.0.0.1:0", "-linger", "3s",
+		}, &out)
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(out.String(), "lingering") {
+		if time.Now().After(deadline) {
+			t.Fatalf("run never reached its linger window:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	m := metricsLine.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no metrics address in output:\n%s", out.String())
+	}
+	base := "http://" + m[1]
+	opsurfacetest.Sweep(t, base, true)
+
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Status  string `json:"status"`
+		Version string `json:"version"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode /healthz: %v", err)
+	}
+	if body.Status != "draining" || !strings.Contains(body.Version, "magellan-sim") {
+		t.Errorf("lingering /healthz = %+v, want draining with the sim's version", body)
+	}
+	resp, err = http.Get(base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/ = %d, want 404: the sim mounts no pprof", resp.StatusCode)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunBusyHTTPLeavesTraceUntouched: the surface binds -http before
+// any output is created, so a busy port fails the run and leaves an
+// existing trace byte-identical.
+func TestRunBusyHTTPLeavesTraceUntouched(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.trace")
+	prior := []byte("an earlier run's trace")
+	if err := os.WriteFile(tracePath, prior, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{
+		"-duration", "10m", "-concurrency", "20", "-channels", "2", "-flashcrowd=false",
+		"-trace", tracePath, "-ispdb", filepath.Join(dir, "t.ispdb"),
+		"-http", busy.Addr().String(),
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-http") {
+		t.Fatalf("busy -http: err = %v, want an -http error", err)
+	}
+	got, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prior) {
+		t.Errorf("busy -http rewrote the trace: %d bytes, want the %d prior bytes", len(got), len(prior))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.ispdb")); !os.IsNotExist(err) {
+		t.Errorf("busy -http created the ISP database (stat err %v)", err)
+	}
+}
+
+// TestFlagPin pins every flag's name and default, so a new or changed
+// flag shows up here as a deliberate diff.
+func TestFlagPin(t *testing.T) {
+	var got []string
+	new(options).flagSet().VisitAll(func(f *flag.Flag) {
+		got = append(got, "-"+f.Name+"="+f.DefValue)
+	})
+	want := []string{
+		"-alerts=false",
+		"-channels=48",
+		"-concurrency=600",
+		"-dup=0",
+		"-duration=336h0m0s",
+		"-flap-frac=0",
+		"-flashcrowd=true",
+		"-history=0s",
+		"-history-cap=1024",
+		"-history-out=",
+		"-http=",
+		"-ingest-shards=1",
+		"-ispblind=false",
+		"-ispdb=uusee.ispdb",
+		"-jitter=0s",
+		"-journal=0",
+		"-journal-out=",
+		"-linger=0s",
+		"-live=false",
+		"-loss=0",
+		"-massdepart-at=0s",
+		"-massdepart-frac=0.5",
+		"-mode=mesh",
+		"-norecommend=false",
+		"-reorder=0",
+		"-seed=1",
+		"-selflog=0s",
+		"-shards=1",
+		"-tick=1m0s",
+		"-trace=uusee.trace",
+		"-truncate=0",
+		"-v=false",
+		"-version=false",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -129,6 +129,25 @@ type Config struct {
 	Journal *obs.Journal
 }
 
+// CheckScale rejects the scale settings sanitize would silently replace
+// with a default, or that make no sense. magellan-sim and magellan-report
+// call it on their parsed flags, so its errors name those flags.
+func (c Config) CheckScale() error {
+	switch {
+	case c.MeanConcurrency <= 0:
+		return fmt.Errorf("-concurrency must be positive, got %v", c.MeanConcurrency)
+	case c.Duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", c.Duration)
+	case c.Tick <= 0:
+		return fmt.Errorf("-tick must be positive, got %v", c.Tick)
+	case c.ExtraChannels < 1:
+		return fmt.Errorf("-channels must be ≥ 1, got %d", c.ExtraChannels)
+	case c.Shards < 0:
+		return fmt.Errorf("-shards must be ≥ 0, got %d", c.Shards)
+	}
+	return nil
+}
+
 func (c Config) sanitize() (Config, error) {
 	if c.MeanConcurrency <= 0 {
 		return c, fmt.Errorf("sim: MeanConcurrency must be positive, got %v", c.MeanConcurrency)
