@@ -422,7 +422,7 @@ func BenchmarkDynamics(b *testing.B) {
 	var res *core.DynamicsResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.AnalyzeDynamics(e.store, 0)
+		res, err = core.AnalyzeDynamics(e.store)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func BenchmarkSnapshotBias(b *testing.B) {
 	var biases []core.SnapshotBias
 	for i := 0; i < b.N; i++ {
 		var err error
-		biases, err = core.AnalyzeSnapshotBias(e.store, 0, []int{1, 6, 18})
+		biases, err = core.AnalyzeSnapshotBias(e.store, []int{1, 6, 18})
 		if err != nil {
 			b.Fatal(err)
 		}

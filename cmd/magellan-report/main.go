@@ -66,11 +66,11 @@ func run(args []string) error {
 		ExtraChannels:   *channels,
 		Sink:            store,
 	}
-	if err := cfg.CheckScale(); err != nil {
-		return err
-	}
 	if *flashcrowd {
 		cfg.Crowds = []workload.FlashCrowd{workload.MidAutumnFlashCrowd()}
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if *verbose {
 		cfg.Progress = func(st sim.Stats) {

@@ -389,20 +389,20 @@ func newDaemon(cfg daemonConfig) (_ *daemon, err error) {
 			NowNanos: func() int64 { return time.Now().UnixNano() },
 		})
 	}
-	for _, dir := range dirs {
-		s, err := newRotatingSink(dir, cfg.rotate)
-		if err != nil {
-			return nil, err
-		}
-		sinks = append(sinks, s)
-	}
 	fcfg := trace.FleetConfig{QueueDepth: cfg.queue, Obs: reg, Journal: journal}
 	if liveA != nil {
 		fcfg.Observe = liveA.Observe
 	}
-	fleet, err := trace.NewFleet(addrs,
-		func(i int) (trace.Sink, error) { return sinks[i], nil },
-		fcfg)
+	// The fleet binds every -listen socket before it asks for the first
+	// sink, so a busy port fails the start before any trace file exists.
+	fleet, err := trace.NewFleet(addrs, func(i int) (trace.Sink, error) {
+		s, err := newRotatingSink(dirs[i], cfg.rotate)
+		if err != nil {
+			return nil, err
+		}
+		sinks = append(sinks, s)
+		return s, nil
+	}, fcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -603,6 +604,32 @@ func TestRunBusyHTTPCreatesNothing(t *testing.T) {
 	}
 	if got := traceFiles(t, dir); len(got) != 0 {
 		t.Errorf("busy -http left trace files behind: %v", got)
+	}
+}
+
+// TestRunBusyUDPCreatesNothing: the fleet binds every -listen socket
+// before any sink opens a file, so a busy UDP port — the standalone
+// server's, or the second shard's — fails the run with no trace file
+// created.
+func TestRunBusyUDPCreatesNothing(t *testing.T) {
+	busy, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	port := busy.LocalAddr().(*net.UDPAddr).Port
+	for _, args := range [][]string{
+		{"-listen", busy.LocalAddr().String()},
+		{"-listen", net.JoinHostPort("127.0.0.1", strconv.Itoa(port-1)), "-shards", "2"},
+	} {
+		dir := t.TempDir()
+		err := run(append(args, "-out", dir), stopped())
+		if err == nil || !strings.Contains(err.Error(), "listen") {
+			t.Errorf("%v on a busy port: err = %v, want a listen error", args, err)
+		}
+		if got := traceFiles(t, dir); len(got) != 0 {
+			t.Errorf("%v on a busy port left trace files behind: %v", args, got)
+		}
 	}
 }
 

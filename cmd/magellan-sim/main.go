@@ -97,12 +97,6 @@ func run(args []string, stdout io.Writer) error {
 	out := log.New(stdout, "", 0) // the run's report lines, as fmt.Printf would write them
 
 	cfg := o.cfg
-	if err := cfg.CheckScale(); err != nil {
-		return err
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	switch o.mode {
 	case "mesh":
 		cfg.Mode = stream.ModeMesh
@@ -116,6 +110,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if o.massDepartAt > 0 {
 		cfg.Churn.MassDepartures = []sim.MassDeparture{{Offset: o.massDepartAt, Fraction: o.massDepartFrac}}
+	}
+	// The whole config is checked before any output file is created, so
+	// a rejected run leaves an existing trace untouched.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Shards == 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 
 	if o.journalOut != "" && o.journalCap <= 0 {

@@ -399,6 +399,40 @@ func TestRunBusyHTTPLeavesTraceUntouched(t *testing.T) {
 	}
 }
 
+// TestRunRejectedConfigLeavesTraceUntouched: the whole simulation config
+// is validated before any output is created, so a fault, churn or crowd
+// setting the simulator rejects fails the run and leaves an existing
+// trace byte-identical.
+func TestRunRejectedConfigLeavesTraceUntouched(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-loss", "1.5"},
+		{"-flap-frac", "2"},
+		{"-massdepart-at", "5m", "-massdepart-frac", "2"},
+	} {
+		dir := t.TempDir()
+		tracePath := filepath.Join(dir, "keep.trace")
+		prior := []byte("keep me ok\n")
+		if err := os.WriteFile(tracePath, prior, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-duration", "10m", "-concurrency", "20", "-channels", "2",
+			"-flashcrowd=false", "-trace", tracePath, "-ispdb", filepath.Join(dir, "keep.ispdb")}, bad...)
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+		got, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, prior) {
+			t.Errorf("%v rewrote the trace: %d bytes, want the %d prior bytes", bad, len(got), len(prior))
+		}
+		if _, err := os.Stat(filepath.Join(dir, "keep.ispdb")); !os.IsNotExist(err) {
+			t.Errorf("%v created the ISP database (stat err %v)", bad, err)
+		}
+	}
+}
+
 // TestFlagPin pins every flag's name and default, so a new or changed
 // flag shows up here as a deliberate diff.
 func TestFlagPin(t *testing.T) {

@@ -32,15 +32,12 @@ type DynamicsResult struct {
 	MeanEdgeLifetime float64
 }
 
-// AnalyzeDynamics computes DynamicsResult over a store. threshold is the
-// active-partner segment cutoff (0 means DefaultActiveThreshold).
-func AnalyzeDynamics(store *trace.Store, threshold uint32) (*DynamicsResult, error) {
+// AnalyzeDynamics computes DynamicsResult over a store, counting a
+// partner active above DefaultActiveThreshold segments.
+func AnalyzeDynamics(store *trace.Store) (*DynamicsResult, error) {
 	epochs := store.Epochs()
 	if len(epochs) < 2 {
 		return nil, fmt.Errorf("core: dynamics need at least two epochs, have %d", len(epochs))
-	}
-	if threshold == 0 {
-		threshold = DefaultActiveThreshold
 	}
 
 	res := &DynamicsResult{
@@ -120,7 +117,7 @@ func AnalyzeDynamics(store *trace.Store, threshold uint32) (*DynamicsResult, err
 
 		// Active-edge lifetimes.
 		clear(cur)
-		v.ActiveEdges(threshold, record)
+		v.ActiveEdges(DefaultActiveThreshold, record)
 		for e := range cur {
 			liveEdges[e]++
 		}
@@ -156,15 +153,13 @@ type SnapshotBias struct {
 }
 
 // AnalyzeSnapshotBias merges `window` consecutive epochs ending at the
-// busiest epoch and measures the distorted degree distribution. window
-// must be ≥ 1.
-func AnalyzeSnapshotBias(store *trace.Store, threshold uint32, windows []int) ([]SnapshotBias, error) {
+// busiest epoch and measures the distorted degree distribution, counting
+// a partner active above DefaultActiveThreshold segments. window must be
+// ≥ 1.
+func AnalyzeSnapshotBias(store *trace.Store, windows []int) ([]SnapshotBias, error) {
 	epochs := store.Epochs()
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("core: empty store")
-	}
-	if threshold == 0 {
-		threshold = DefaultActiveThreshold
 	}
 
 	// Anchor at the epoch with the most reports.
@@ -214,7 +209,7 @@ func AnalyzeSnapshotBias(store *trace.Store, threshold uint32, windows []int) ([
 		for _, partners := range merged {
 			in := 0
 			for _, recv := range partners {
-				if recv > threshold {
+				if recv > DefaultActiveThreshold {
 					in++
 				}
 			}

@@ -24,7 +24,7 @@ func TestAnalyzeDynamicsHandCrafted(t *testing.T) {
 	r2b.Time = e1
 	s := storeWith(t, r1a, r2a, r9, r1b, r2b)
 
-	res, err := AnalyzeDynamics(s, DefaultActiveThreshold)
+	res, err := AnalyzeDynamics(s)
 	if err != nil {
 		t.Fatalf("AnalyzeDynamics: %v", err)
 	}
@@ -58,14 +58,14 @@ func TestAnalyzeDynamicsHandCrafted(t *testing.T) {
 
 func TestAnalyzeDynamicsNeedsTwoEpochs(t *testing.T) {
 	s := storeWith(t, report(1, [3]uint32{2, 50, 50}))
-	if _, err := AnalyzeDynamics(s, 0); err == nil {
+	if _, err := AnalyzeDynamics(s); err == nil {
 		t.Error("single-epoch store accepted")
 	}
 }
 
 func TestAnalyzeDynamicsOnSimTrace(t *testing.T) {
 	store, _ := scaledTrace(t)
-	res, err := AnalyzeDynamics(store, 0)
+	res, err := AnalyzeDynamics(store)
 	if err != nil {
 		t.Fatalf("AnalyzeDynamics: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestAnalyzeDynamicsOnSimTrace(t *testing.T) {
 
 func TestAnalyzeSnapshotBias(t *testing.T) {
 	store, _ := scaledTrace(t)
-	biases, err := AnalyzeSnapshotBias(store, 0, []int{1, 3, 6})
+	biases, err := AnalyzeSnapshotBias(store, []int{1, 3, 6})
 	if err != nil {
 		t.Fatalf("AnalyzeSnapshotBias: %v", err)
 	}
@@ -118,17 +118,17 @@ func TestAnalyzeSnapshotBias(t *testing.T) {
 
 func TestAnalyzeSnapshotBiasValidation(t *testing.T) {
 	store, _ := scaledTrace(t)
-	if _, err := AnalyzeSnapshotBias(store, 0, []int{0}); err == nil {
+	if _, err := AnalyzeSnapshotBias(store, []int{0}); err == nil {
 		t.Error("window 0 accepted")
 	}
-	if _, err := AnalyzeSnapshotBias(trace.NewStore(0), 0, []int{1}); err == nil {
+	if _, err := AnalyzeSnapshotBias(trace.NewStore(0), []int{1}); err == nil {
 		t.Error("empty store accepted")
 	}
 }
 
 func TestAnalyzeStructureOnSimTrace(t *testing.T) {
 	store, _ := scaledTrace(t)
-	res, err := AnalyzeStructure(store, 0, 0)
+	res, err := AnalyzeStructure(store)
 	if err != nil {
 		t.Fatalf("AnalyzeStructure: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestAnalyzeStructureOnSimTrace(t *testing.T) {
 }
 
 func TestAnalyzeStructureEmpty(t *testing.T) {
-	if _, err := AnalyzeStructure(trace.NewStore(0), 0, 0); err == nil {
+	if _, err := AnalyzeStructure(trace.NewStore(0)); err == nil {
 		t.Error("empty store accepted")
 	}
 }

@@ -23,11 +23,6 @@ type Extensions struct {
 
 // ExtensionsConfig tunes AnalyzeExtensions.
 type ExtensionsConfig struct {
-	// ActiveThreshold as in Config (0 = DefaultActiveThreshold).
-	ActiveThreshold uint32
-	// BiasWindows are the crawl windows (in epochs) to study; default
-	// {1, 6, 18} — instant, one hour, three hours.
-	BiasWindows []int
 	// BaselinePeers sizes the generated Gnutella overlays (default
 	// 8000).
 	BaselinePeers int
@@ -35,24 +30,24 @@ type ExtensionsConfig struct {
 	Seed int64
 }
 
-// AnalyzeExtensions runs every extension analysis over a store.
+// AnalyzeExtensions runs every extension analysis over a store, with
+// DefaultActiveThreshold as the active-partner cutoff. The crawl-bias
+// study merges windows of 1, 6 and 18 epochs: an instant, one hour and
+// three hours.
 func AnalyzeExtensions(store *trace.Store, cfg ExtensionsConfig) (*Extensions, error) {
-	if len(cfg.BiasWindows) == 0 {
-		cfg.BiasWindows = []int{1, 6, 18}
-	}
 	if cfg.BaselinePeers <= 0 {
 		cfg.BaselinePeers = 8000
 	}
 
-	dyn, err := AnalyzeDynamics(store, cfg.ActiveThreshold)
+	dyn, err := AnalyzeDynamics(store)
 	if err != nil {
 		return nil, err
 	}
-	structure, err := AnalyzeStructure(store, cfg.ActiveThreshold, 0)
+	structure, err := AnalyzeStructure(store)
 	if err != nil {
 		return nil, err
 	}
-	bias, err := AnalyzeSnapshotBias(store, cfg.ActiveThreshold, cfg.BiasWindows)
+	bias, err := AnalyzeSnapshotBias(store, []int{1, 6, 18})
 	if err != nil {
 		return nil, err
 	}
@@ -71,6 +66,6 @@ func AnalyzeExtensions(store *trace.Store, cfg ExtensionsConfig) (*Extensions, e
 		Structure:      structure,
 		Bias:           bias,
 		LegacyFit:      graph.FitPowerLaw(legacy.UndirectedDegrees(), 4),
-		ModernUltraFit: graph.FitPowerLaw(gnutella.UltrapeerDegrees(modern, 3), 1),
+		ModernUltraFit: graph.FitPowerLaw(gnutella.UltrapeerDegrees(modern, gnutella.LeafLinks), 1),
 	}, nil
 }

@@ -44,10 +44,6 @@ type Config struct {
 	ActiveThreshold uint32
 	// Seed drives the random baselines and BFS sampling.
 	Seed int64
-	// PathSamples caps BFS sources for path-length estimation (default
-	// 64; ≤ 0 is replaced by the default — exactness comes automatically
-	// for graphs smaller than the cap).
-	PathSamples int
 	// HeavyEveryN computes the small-world metrics on every Nth epoch
 	// (they are quadratic-ish); 0 picks a cadence that yields ≈ 240
 	// computed points for Analyze, and streamingHeavyEveryN for the
@@ -56,14 +52,6 @@ type Config struct {
 	// Snapshots are the Fig. 4 instants; nil means DefaultSnapshots
 	// (instants outside the trace are skipped).
 	Snapshots []SnapshotSpec
-	// ISPFocus is the ISP of the Fig. 7B subgraph (default China Netcom).
-	ISPFocus isp.ISP
-	// QualityChannels are the Fig. 3 channels (default CCTV1 and CCTV4).
-	QualityChannels []string
-	// QualityBar is the served-rate fraction (default 0.9) over
-	// StreamRateKbps (default 400).
-	QualityBar     float64
-	StreamRateKbps float64
 	// Workers bounds pipeline parallelism (default GOMAXPROCS).
 	Workers int
 	// Tracer receives spans for the pipeline's stages (seal, epoch
@@ -80,6 +68,19 @@ type Config struct {
 	Journal *obs.Journal
 }
 
+// The figures' fixed inputs: the Fig. 3 channels and the served-rate
+// fraction of workload.StreamRateKbps a report must reach to count as
+// good quality, the ISP of the Fig. 7B subgraph, and the cap on BFS
+// sources for path-length estimation (graphs smaller than the cap are
+// measured exactly).
+var _qualityChannels = [...]string{"CCTV1", "CCTV4"}
+
+const (
+	_qualityBar  = 0.9
+	_ispFocus    = isp.ChinaNetcom
+	_pathSamples = 64
+)
+
 // streamingHeavyEveryN is the small-world cadence of the online policy,
 // used when Config leaves HeavyEveryN unset and the epoch count is
 // unknown: the batch default scales with the epoch count, which no
@@ -94,9 +95,6 @@ func (c Config) sanitize(epochCount int) Config {
 	if c.ActiveThreshold == 0 {
 		c.ActiveThreshold = DefaultActiveThreshold
 	}
-	if c.PathSamples <= 0 {
-		c.PathSamples = 64
-	}
 	if c.HeavyEveryN <= 0 {
 		c.HeavyEveryN = streamingHeavyEveryN
 		if epochCount > 0 {
@@ -105,18 +103,6 @@ func (c Config) sanitize(epochCount int) Config {
 	}
 	if c.Snapshots == nil {
 		c.Snapshots = DefaultSnapshots()
-	}
-	if c.ISPFocus == isp.Unknown {
-		c.ISPFocus = isp.ChinaNetcom
-	}
-	if len(c.QualityChannels) == 0 {
-		c.QualityChannels = []string{"CCTV1", "CCTV4"}
-	}
-	if c.QualityBar <= 0 {
-		c.QualityBar = 0.9
-	}
-	if c.StreamRateKbps <= 0 {
-		c.StreamRateKbps = 400
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -334,7 +320,7 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		Start:     v.Start,
 		Stable:    v.StableCount(),
 		ISPCounts: make(map[isp.ISP]int, isp.NumISPs),
-		Quality:   make(map[string][2]int, len(cfg.QualityChannels)),
+		Quality:   make(map[string][2]int, len(_qualityChannels)),
 	}
 
 	scanSpan := cfg.Tracer.Start("epoch_scan")
@@ -352,19 +338,15 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	}
 
 	// Streaming quality per channel (Fig. 3).
-	wanted := make(map[string]bool, len(cfg.QualityChannels))
-	for _, ch := range cfg.QualityChannels {
-		wanted[ch] = true
-	}
 	reports := v.Reports()
 	for i := range reports {
 		rep := &reports[i]
-		if !wanted[rep.Channel] {
+		if !slices.Contains(_qualityChannels[:], rep.Channel) {
 			continue
 		}
 		sv := out.Quality[rep.Channel]
 		sv[1]++
-		if rep.RecvKbps >= cfg.QualityBar*cfg.StreamRateKbps {
+		if rep.RecvKbps >= _qualityBar*workload.StreamRateKbps {
 			sv[0]++
 		}
 		out.Quality[rep.Channel] = sv
@@ -447,15 +429,15 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		out.Heavy = true
 		sg := v.StableGraphInto(sc.stable, cfg.ActiveThreshold)
 		out.C = sg.ClusteringCoefficient()
-		out.L = sg.AveragePathLength(rng, cfg.PathSamples)
-		out.CRand, out.LRand = graph.RandomBaseline(sg, rng, cfg.PathSamples)
+		out.L = sg.AveragePathLength(rng, _pathSamples)
+		out.CRand, out.LRand = graph.RandomBaseline(sg, rng, _pathSamples)
 
-		sub := sg.InducedSubgraph(func(a isp.Addr) bool { return db.Lookup(a) == cfg.ISPFocus })
+		sub := sg.InducedSubgraph(func(a isp.Addr) bool { return db.Lookup(a) == _ispFocus })
 		if sub.N() >= 10 && sub.M() > 0 {
 			out.ISPGraphOK = true
 			out.CISP = sub.ClusteringCoefficient()
-			out.LISP = sub.AveragePathLength(rng, cfg.PathSamples)
-			out.CRandISP, out.LRandISP = graph.RandomBaseline(sub, rng, cfg.PathSamples)
+			out.LISP = sub.AveragePathLength(rng, _pathSamples)
+			out.CRandISP, out.LRandISP = graph.RandomBaseline(sub, rng, _pathSamples)
 		}
 		swSpan.End()
 	}
@@ -550,12 +532,12 @@ func assemble(interval time.Duration, cfg Config, specs []SnapshotSpec, outs []*
 
 	// Fig. 3: streaming quality.
 	q := QualityResult{
-		Bar:       cfg.QualityBar,
-		RateKbps:  cfg.StreamRateKbps,
-		ByChannel: make(map[string]*metrics.Series, len(cfg.QualityChannels)),
-		Viewers:   make(map[string]*metrics.Series, len(cfg.QualityChannels)),
+		Bar:       _qualityBar,
+		RateKbps:  workload.StreamRateKbps,
+		ByChannel: make(map[string]*metrics.Series, len(_qualityChannels)),
+		Viewers:   make(map[string]*metrics.Series, len(_qualityChannels)),
 	}
-	for _, ch := range cfg.QualityChannels {
+	for _, ch := range _qualityChannels {
 		q.ByChannel[ch] = metrics.NewSeries()
 		q.Viewers[ch] = metrics.NewSeries()
 	}
@@ -621,7 +603,7 @@ func assemble(interval time.Duration, cfg Config, specs []SnapshotSpec, outs []*
 	sw := SmallWorldResult{
 		C: metrics.NewSeries(), L: metrics.NewSeries(),
 		CRand: metrics.NewSeries(), LRand: metrics.NewSeries(),
-		ISP:  cfg.ISPFocus,
+		ISP:  _ispFocus,
 		CISP: metrics.NewSeries(), LISP: metrics.NewSeries(),
 		CRandISP: metrics.NewSeries(), LRandISP: metrics.NewSeries(),
 	}

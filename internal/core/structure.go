@@ -21,22 +21,15 @@ type StructureResult struct {
 	Diameter      *metrics.Series
 }
 
-// AnalyzeStructure computes StructureResult, sampling every everyN-th
-// epoch (0 means a cadence of ≈ 100 computed points).
-func AnalyzeStructure(store *trace.Store, threshold uint32, everyN int) (*StructureResult, error) {
+// AnalyzeStructure computes StructureResult on the stable-peer graph at
+// DefaultActiveThreshold, sampling epochs at a cadence that yields
+// ≈ 100 computed points.
+func AnalyzeStructure(store *trace.Store) (*StructureResult, error) {
 	epochs := store.Epochs()
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("core: empty store")
 	}
-	if threshold == 0 {
-		threshold = DefaultActiveThreshold
-	}
-	if everyN <= 0 {
-		everyN = len(epochs) / 100
-		if everyN < 1 {
-			everyN = 1
-		}
-	}
+	everyN := max(len(epochs)/100, 1)
 	res := &StructureResult{
 		Assortativity: metrics.NewSeries(),
 		InOutCorr:     metrics.NewSeries(),
@@ -48,7 +41,7 @@ func AnalyzeStructure(store *trace.Store, threshold uint32, everyN int) (*Struct
 		if v.StableCount() < 10 {
 			continue
 		}
-		g := v.StableGraph(threshold)
+		g := v.StableGraph(DefaultActiveThreshold)
 		rng := rand.New(rand.NewSource(epochs[i]))
 		res.Assortativity.Add(v.Start, g.DegreeAssortativity())
 		res.InOutCorr.Add(v.Start, g.InOutCorrelation())

@@ -12,6 +12,7 @@ package gnutella
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/magellan-p2p/magellan/internal/graph"
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -37,51 +38,19 @@ const (
 type Config struct {
 	Seed  int64
 	Peers int
-	Gen   Generation
-
-	// LegacyLinks is the number of neighbours each joining legacy peer
-	// attaches to (BA-style m). Default 3.
-	LegacyLinks int
-
-	// UltrapeerFraction is the share of modern peers promoted to
-	// ultrapeer (default 0.15). LeafLinks is each leaf's ultrapeer
-	// connection count (default 3); UltraTarget the ultrapeer's
-	// peer-to-peer connection target (default 30, the value Stutzbach's
-	// spike sits at).
-	UltrapeerFraction float64
-	LeafLinks         int
-	UltraTarget       int
-}
-
-func (c Config) sanitize() (Config, error) {
-	if c.Peers < 10 {
-		return c, fmt.Errorf("gnutella: need at least 10 peers, got %d", c.Peers)
-	}
-	if c.Gen == 0 {
-		c.Gen = Modern
-	}
-	if c.LegacyLinks <= 0 {
-		c.LegacyLinks = 3
-	}
-	if c.UltrapeerFraction <= 0 || c.UltrapeerFraction >= 1 {
-		c.UltrapeerFraction = 0.15
-	}
-	if c.LeafLinks <= 0 {
-		c.LeafLinks = 3
-	}
-	if c.UltraTarget <= 0 {
-		c.UltraTarget = 30
-	}
-	return c, nil
+	// Gen defaults to Modern.
+	Gen Generation
 }
 
 // Build generates one overlay snapshot. Edges are emitted in both
 // directions (Gnutella connections are symmetric TCP links), so degree
 // analyses read the undirected structure.
 func Build(cfg Config) (*graph.Digraph, error) {
-	cfg, err := cfg.sanitize()
-	if err != nil {
-		return nil, err
+	if cfg.Peers < 10 {
+		return nil, fmt.Errorf("gnutella: need at least 10 peers, got %d", cfg.Peers)
+	}
+	if cfg.Gen == 0 {
+		cfg.Gen = Modern
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	switch cfg.Gen {
@@ -94,8 +63,12 @@ func Build(cfg Config) (*graph.Digraph, error) {
 	}
 }
 
+// _legacyLinks is the number of neighbours each joining legacy peer
+// attaches to (Barabási–Albert m).
+const _legacyLinks = 3
+
 // buildLegacy grows the overlay with preferential attachment: each
-// arriving peer connects to LegacyLinks existing peers drawn
+// arriving peer connects to _legacyLinks existing peers drawn
 // proportionally to current degree (the pong-cache bias).
 func buildLegacy(cfg Config, rng *rand.Rand) *graph.Digraph {
 	b := graph.NewBuilder()
@@ -111,39 +84,50 @@ func buildLegacy(cfg Config, rng *rand.Rand) *graph.Digraph {
 	}
 
 	// Seed clique of m+1 nodes.
-	m := cfg.LegacyLinks
+	const m = _legacyLinks
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {
 			addEdge(u, v)
 		}
 	}
+	// chosen keeps draw order: the edges it adds extend endpoints, which
+	// later draws index, so a map's iteration order would make the
+	// overlay differ from run to run under one seed.
+	chosen := make([]int, 0, m)
 	for u := m + 1; u < cfg.Peers; u++ {
-		chosen := make(map[int]struct{}, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := endpoints[rng.Intn(len(endpoints))]
-			if v == u {
+			if v == u || slices.Contains(chosen, v) {
 				continue
 			}
-			if _, dup := chosen[v]; dup {
-				continue
-			}
-			chosen[v] = struct{}{}
+			chosen = append(chosen, v)
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			addEdge(u, v)
 		}
 	}
 	return b.Build()
 }
 
+// The two-tier overlay's shape: the share of peers promoted to
+// ultrapeer, each leaf's ultrapeer connection count, and each
+// ultrapeer's peer-to-peer connection target (30, where Stutzbach's
+// spike sits).
+const (
+	_ultrapeerFraction = 0.15
+	LeafLinks          = 3
+	_ultraTarget       = 30
+)
+
 // buildModern wires the two-tier overlay: ultrapeers first connect among
-// themselves toward UltraTarget connections, then leaves attach to
+// themselves toward _ultraTarget connections, then leaves attach to
 // LeafLinks random ultrapeers.
 func buildModern(cfg Config, rng *rand.Rand) *graph.Digraph {
 	b := graph.NewBuilder()
-	nUltra := int(float64(cfg.Peers) * cfg.UltrapeerFraction)
-	if nUltra < cfg.UltraTarget+1 {
-		nUltra = cfg.UltraTarget + 1
+	nUltra := int(float64(cfg.Peers) * _ultrapeerFraction)
+	if nUltra < _ultraTarget+1 {
+		nUltra = _ultraTarget + 1
 	}
 	if nUltra > cfg.Peers-1 {
 		nUltra = cfg.Peers - 1
@@ -162,12 +146,12 @@ func buildModern(cfg Config, rng *rand.Rand) *graph.Digraph {
 	// slightly so the spike has realistic width.
 	targets := make([]int, nUltra)
 	for u := range targets {
-		targets[u] = cfg.UltraTarget - 2 + rng.Intn(5)
+		targets[u] = _ultraTarget - 2 + rng.Intn(5)
 	}
 	type pair struct{ u, v int }
 	seen := make(map[pair]struct{})
 	for u := 0; u < nUltra; u++ {
-		for attempts := 0; degree[u] < targets[u] && attempts < 20*cfg.UltraTarget; attempts++ {
+		for attempts := 0; degree[u] < targets[u] && attempts < 20*_ultraTarget; attempts++ {
 			v := rng.Intn(nUltra)
 			if v == u || degree[v] >= targets[v]+2 {
 				continue
@@ -183,8 +167,8 @@ func buildModern(cfg Config, rng *rand.Rand) *graph.Digraph {
 
 	// Leaves.
 	for u := nUltra; u < cfg.Peers; u++ {
-		chosen := make(map[int]struct{}, cfg.LeafLinks)
-		for len(chosen) < cfg.LeafLinks {
+		chosen := make(map[int]struct{}, LeafLinks)
+		for len(chosen) < LeafLinks {
 			chosen[rng.Intn(nUltra)] = struct{}{}
 		}
 		for v := range chosen {
@@ -192,20 +176,6 @@ func buildModern(cfg Config, rng *rand.Rand) *graph.Digraph {
 		}
 	}
 	return b.Build()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // UltrapeerDegrees extracts the undirected degrees of peers with degree

@@ -1,6 +1,9 @@
 package gnutella
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"github.com/magellan-p2p/magellan/internal/graph"
@@ -42,29 +45,27 @@ func TestLegacyPowerLawDegrees(t *testing.T) {
 }
 
 func TestModernSpikedDegrees(t *testing.T) {
-	cfg := Config{Seed: 2, Peers: 8000, Gen: Modern}
-	g, err := Build(cfg)
+	g, err := Build(Config{Seed: 2, Peers: 8000, Gen: Modern})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sane, _ := cfg.sanitize()
 
 	// Leaves spike at LeafLinks.
 	all := metrics.NewHistogram(g.UndirectedDegrees())
-	if all.Mode() != sane.LeafLinks {
-		t.Errorf("overall mode = %d, want the leaf spike at %d", all.Mode(), sane.LeafLinks)
+	if all.Mode() != LeafLinks {
+		t.Errorf("overall mode = %d, want the leaf spike at %d", all.Mode(), LeafLinks)
 	}
 
 	// Ultrapeers spike near the connection target, and a power law fits
 	// their distribution poorly — Stutzbach's correction to the early
 	// studies.
-	ultra := metrics.NewHistogram(UltrapeerDegrees(g, sane.LeafLinks))
+	ultra := metrics.NewHistogram(UltrapeerDegrees(g, LeafLinks))
 	if ultra.N() == 0 {
 		t.Fatal("no ultrapeers found")
 	}
 	mode := ultra.Mode()
-	if mode < sane.UltraTarget-5 || mode > sane.UltraTarget+25 {
-		t.Errorf("ultrapeer mode = %d, want near target %d", mode, sane.UltraTarget)
+	if mode < _ultraTarget-5 || mode > _ultraTarget+25 {
+		t.Errorf("ultrapeer mode = %d, want near target %d", mode, _ultraTarget)
 	}
 	fit := graph.FitPowerLaw(ultra.Values(), 1)
 	if fit.KS < 0.15 {
@@ -73,15 +74,13 @@ func TestModernSpikedDegrees(t *testing.T) {
 }
 
 func TestModernTwoTierStructure(t *testing.T) {
-	cfg := Config{Seed: 3, Peers: 2000, Gen: Modern}
-	g, err := Build(cfg)
+	g, err := Build(Config{Seed: 3, Peers: 2000, Gen: Modern})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sane, _ := cfg.sanitize()
 	leaves := 0
 	for i := 0; i < g.N(); i++ {
-		if g.UndirectedDegree(int32(i)) <= sane.LeafLinks {
+		if g.UndirectedDegree(int32(i)) <= LeafLinks {
 			leaves++
 		}
 	}
@@ -120,5 +119,35 @@ func TestSymmetricEdges(t *testing.T) {
 	// Every Gnutella connection is a symmetric TCP link.
 	if r := g.Reciprocity(); r != 1 {
 		t.Errorf("reciprocity = %v, want 1 (symmetric links)", r)
+	}
+}
+
+// TestBuildDigests pins the exact edge lists Build produces for both
+// generations at the default construction values: a change to a link
+// count, the ultrapeer share or the connection target moves a digest.
+func TestBuildDigests(t *testing.T) {
+	for _, tc := range []struct {
+		gen  Generation
+		want string
+	}{
+		{Legacy, "44a330f24a6d56fa261c0ce4f9ef38aba4aa3ea5a336142139cad8fb421c9ff8"},
+		{Modern, "e91aafc4d1b0e0945304b3e2d0c0c6e673165c6c9c0ce2c8a8054ffb29a112c7"},
+	} {
+		g, err := Build(Config{Seed: 1, Peers: 8000, Gen: tc.gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for i := int32(0); i < int32(g.N()); i++ {
+			for _, j := range g.Out(i) {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(g.Addr(i)))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(g.Addr(j)))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("generation %d: edge-list sha256 = %s, want %s", tc.gen, got, tc.want)
+		}
 	}
 }

@@ -104,16 +104,40 @@ func host(addr uint32, p isp.ISP, up float64) Host {
 	return Host{Addr: isp.Addr(addr), ISP: p, Cap: Capacity{UpKbps: up, DownKbps: 4 * up}}
 }
 
+// TestLinkSymmetry: RTT and SameISP depend only on the unordered pair,
+// whatever the endpoints' capacities; the capacity is directional and
+// never beats the sender's uplink or the receiver's downlink.
 func TestLinkSymmetry(t *testing.T) {
 	n := NewNetwork(77)
-	prop := func(a, b uint32, pa, pb uint8) bool {
-		ha := host(a, isp.ISP(pa%8), 1000)
-		hb := host(b, isp.ISP(pb%8), 1000)
-		// Symmetric capacity so the endpoint limit is symmetric too.
-		return n.Link(ha, hb) == n.Link(hb, ha)
+	prop := func(a, b uint32, pa, pb uint8, upA, downA, upB, downB uint16) bool {
+		ha := Host{Addr: isp.Addr(a), ISP: isp.ISP(pa % 8), Cap: Capacity{UpKbps: float64(upA), DownKbps: float64(downA)}}
+		hb := Host{Addr: isp.Addr(b), ISP: isp.ISP(pb % 8), Cap: Capacity{UpKbps: float64(upB), DownKbps: float64(downB)}}
+		ab, ba := n.Link(ha, hb), n.Link(hb, ha)
+		return ab.RTT == ba.RTT && ab.SameISP == ba.SameISP &&
+			ab.CapacityKbps <= min(ha.Cap.UpKbps, hb.Cap.DownKbps) &&
+			ba.CapacityKbps <= min(hb.Cap.UpKbps, ha.Cap.DownKbps)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+
+	// A thin uplink facing a fat one on a short intra-ISP path: each
+	// direction is held to its own sender-uplink, receiver-downlink
+	// minimum, so the two directions differ.
+	thin := Host{Addr: 1000, ISP: isp.ChinaTelecom, Cap: Capacity{UpKbps: 100, DownKbps: 4000}}
+	fat := Host{Addr: 2000, ISP: isp.ChinaTelecom, Cap: Capacity{UpKbps: 2000, DownKbps: 300}}
+	up, down := n.Link(thin, fat), n.Link(fat, thin)
+	if up.CapacityKbps > min(thin.Cap.UpKbps, fat.Cap.DownKbps) {
+		t.Errorf("thin→fat capacity %v exceeds min(up %v, down %v)", up.CapacityKbps, thin.Cap.UpKbps, fat.Cap.DownKbps)
+	}
+	if down.CapacityKbps > min(fat.Cap.UpKbps, thin.Cap.DownKbps) {
+		t.Errorf("fat→thin capacity %v exceeds min(up %v, down %v)", down.CapacityKbps, fat.Cap.UpKbps, thin.Cap.DownKbps)
+	}
+	if up.CapacityKbps == down.CapacityKbps {
+		t.Errorf("both directions carry %v kbps; the endpoint caps differ", up.CapacityKbps)
+	}
+	if up.RTT != down.RTT || !up.SameISP || !down.SameISP {
+		t.Errorf("pair properties differ by direction: %+v vs %+v", up, down)
 	}
 }
 

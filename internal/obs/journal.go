@@ -290,6 +290,9 @@ type Journal struct {
 	buf   []Event // fixed capacity, allocated once
 	start int     // index of the oldest held event
 	held  int     // number of events currently held
+	// size is cap(buf), fixed at construction: Cap reads it without the
+	// lock, while Record rewrites buf's slice header under it.
+	size int
 
 	// Drop and stage accounting is atomic so metric scrapes never take
 	// the ring lock.
@@ -305,7 +308,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{buf: make([]Event, 0, capacity)}
+	return &Journal{buf: make([]Event, 0, capacity), size: capacity}
 }
 
 // NewWallJournal is NewJournal plus a wall clock for RecordNow: the
@@ -387,7 +390,7 @@ func (j *Journal) Cap() int {
 	if j == nil {
 		return 0
 	}
-	return cap(j.buf)
+	return j.size
 }
 
 // Recorded returns the total number of events ever recorded.

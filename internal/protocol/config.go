@@ -12,35 +12,39 @@ package protocol
 
 import "time"
 
-// Config carries the protocol constants. The defaults are the values the
-// paper states or implies for the deployed UUSee client.
-type Config struct {
+// The deployed client's protocol constants: the values the paper states
+// or implies for UUSee (Sec. 3.1).
+const (
 	// MaxBootstrap is the size of the initial partner set supplied by the
 	// tracker ("up to 50").
-	MaxBootstrap int
+	MaxBootstrap = 50
 	// TargetActive is the number of most-suitable partners a peer selects
 	// to request media blocks from ("around 30").
-	TargetActive int
-	// MaxPartners caps a peer's partner list; beyond it new connections
-	// are refused.
-	MaxPartners int
+	TargetActive = 30
 	// TrackerRefill is how many extra partners a starving peer asks the
 	// tracker for.
-	TrackerRefill int
+	TrackerRefill = 10
 	// RecommendSize is how many partners a neighbour recommends per
 	// exchange.
-	RecommendSize int
+	RecommendSize = 5
 	// AvailabilityHeadroomKbps is the spare upload capacity a peer must
 	// retain to register as available for new connections at the tracker.
-	AvailabilityHeadroomKbps float64
+	AvailabilityHeadroomKbps = 100
 	// StarveQuality and StarveRounds define starvation: quality EWMA
 	// below StarveQuality for StarveRounds consecutive maintenance rounds
 	// triggers tracker re-contact.
-	StarveQuality float64
-	StarveRounds  int
+	StarveQuality = 0.85
+	StarveRounds  = 2
 	// MaintInterval is the period of the maintenance loop (selection
 	// refresh, recommendations, starvation checks).
-	MaintInterval time.Duration
+	MaintInterval = 5 * time.Minute
+)
+
+// Config carries the protocol values an experiment varies.
+type Config struct {
+	// MaxPartners caps a peer's partner list; beyond it new connections
+	// are refused.
+	MaxPartners int
 
 	// LocalityBias is the paper's "future work" extension: the fraction
 	// of each bootstrap sample the tracker draws from the requester's
@@ -52,51 +56,14 @@ type Config struct {
 	LocalityBias float64
 }
 
-// DefaultConfig returns the deployed-client constants.
-func DefaultConfig() Config {
-	return Config{
-		MaxBootstrap:             50,
-		TargetActive:             30,
-		MaxPartners:              80,
-		TrackerRefill:            10,
-		RecommendSize:            5,
-		AvailabilityHeadroomKbps: 100,
-		StarveQuality:            0.85,
-		StarveRounds:             2,
-		MaintInterval:            5 * time.Minute,
-	}
-}
+// DefaultConfig returns the deployed client's configuration.
+func DefaultConfig() Config { return Config{MaxPartners: 80} }
 
-// sanitize fills zero fields with defaults so partially-specified configs
-// behave sensibly.
-func (c Config) sanitize() Config {
-	d := DefaultConfig()
-	if c.MaxBootstrap <= 0 {
-		c.MaxBootstrap = d.MaxBootstrap
-	}
-	if c.TargetActive <= 0 {
-		c.TargetActive = d.TargetActive
-	}
+// WithDefaults fills the zero fields of c from DefaultConfig. The
+// tracker and the simulator both default through it.
+func (c Config) WithDefaults() Config {
 	if c.MaxPartners <= 0 {
-		c.MaxPartners = d.MaxPartners
-	}
-	if c.TrackerRefill <= 0 {
-		c.TrackerRefill = d.TrackerRefill
-	}
-	if c.RecommendSize <= 0 {
-		c.RecommendSize = d.RecommendSize
-	}
-	if c.AvailabilityHeadroomKbps <= 0 {
-		c.AvailabilityHeadroomKbps = d.AvailabilityHeadroomKbps
-	}
-	if c.StarveQuality <= 0 {
-		c.StarveQuality = d.StarveQuality
-	}
-	if c.StarveRounds <= 0 {
-		c.StarveRounds = d.StarveRounds
-	}
-	if c.MaintInterval <= 0 {
-		c.MaintInterval = d.MaintInterval
+		c.MaxPartners = DefaultConfig().MaxPartners
 	}
 	return c
 }

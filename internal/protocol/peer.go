@@ -177,10 +177,6 @@ func (p *Peer) SetLastSentKbps(v float64) { p.tab.lastSent[p.h] = v }
 // measured over the previous tick.
 func (p *Peer) LastRecvKbps() float64 { return p.tab.lastRecv[p.h] }
 
-// ShareEstimate returns the per-receiver upload share this peer
-// advertised after the last tick; receivers use it to size requests.
-func (p *Peer) ShareEstimate() float64 { return p.tab.share[p.h] }
-
 // TickRecvSeg returns the segments received during the current exchange
 // tick. The stream package owns and resets the accumulator.
 func (p *Peer) TickRecvSeg() float64 { return p.tab.tickRecv[p.h] }
@@ -428,8 +424,8 @@ func (p *Peer) Recommend(rng *rand.Rand, requester isp.Addr, n int) []isp.Addr {
 // all fail, as does a pair from two tables: a partner is addressed by
 // its handle in the table both peers share. Edges are symmetric, so the
 // duplicate check reads only p's side and q's side costs one free-slot
-// fill. The formation time is not recorded: nothing reads it.
-func Connect(p, q *Peer, link netsim.Link, cfg Config, _ time.Time) bool {
+// fill.
+func Connect(p, q *Peer, link netsim.Link, cfg Config) bool {
 	if p == nil || q == nil || p == q || p.ID() == q.ID() || p.tab != q.tab {
 		return false
 	}

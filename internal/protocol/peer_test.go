@@ -33,7 +33,7 @@ func TestConnectEstablishesBothSides(t *testing.T) {
 	tab := NewTable(0)
 	cfg := DefaultConfig()
 	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
-	if !Connect(p, q, testLink(500), cfg, _t0) {
+	if !Connect(p, q, testLink(500), cfg) {
 		t.Fatal("Connect failed")
 	}
 	if !p.HasPartner(q.ID()) || !q.HasPartner(p.ID()) {
@@ -54,28 +54,28 @@ func TestConnectRejections(t *testing.T) {
 	q := testPeer(tab, 2, "CCTV1")
 	other := testPeer(tab, 3, "CCTV4")
 
-	if Connect(p, p, testLink(500), cfg, _t0) {
+	if Connect(p, p, testLink(500), cfg) {
 		t.Error("self-connection accepted")
 	}
-	if Connect(nil, p, testLink(500), cfg, _t0) || Connect(p, nil, testLink(500), cfg, _t0) {
+	if Connect(nil, p, testLink(500), cfg) || Connect(p, nil, testLink(500), cfg) {
 		t.Error("nil peer accepted")
 	}
-	if Connect(p, other, testLink(500), cfg, _t0) {
+	if Connect(p, other, testLink(500), cfg) {
 		t.Error("cross-channel connection accepted")
 	}
 	// A partner entry names its far side by handle, which only means
 	// something in the table both peers share.
 	stranger := testPeer(NewTable(0), 4, "CCTV1")
-	if Connect(p, stranger, testLink(500), cfg, _t0) || Connect(stranger, p, testLink(500), cfg, _t0) {
+	if Connect(p, stranger, testLink(500), cfg) || Connect(stranger, p, testLink(500), cfg) {
 		t.Error("connection across two tables accepted")
 	}
 	if p.PartnerCount() != 0 || stranger.PartnerCount() != 0 {
 		t.Errorf("refused connections left partners: %d, %d", p.PartnerCount(), stranger.PartnerCount())
 	}
-	if !Connect(p, q, testLink(500), cfg, _t0) {
+	if !Connect(p, q, testLink(500), cfg) {
 		t.Fatal("valid connect failed")
 	}
-	if Connect(p, q, testLink(500), cfg, _t0) {
+	if Connect(p, q, testLink(500), cfg) {
 		t.Error("duplicate connection accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestConnectServerCrossesChannels(t *testing.T) {
 	server := testPeer(tab, 100, "")
 	server.MarkServer()
 	p := testPeer(tab, 1, "CCTV1")
-	if !Connect(p, server, testLink(5000), cfg, _t0) {
+	if !Connect(p, server, testLink(5000), cfg) {
 		t.Error("server connection refused")
 	}
 }
@@ -97,18 +97,18 @@ func TestConnectRespectsMaxPartners(t *testing.T) {
 	cfg.MaxPartners = 3
 	p := testPeer(tab, 1, "CCTV1")
 	for i := 2; i <= 4; i++ {
-		if !Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg, _t0) {
+		if !Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg) {
 			t.Fatalf("connect %d failed below cap", i)
 		}
 	}
-	if Connect(p, testPeer(tab, 99, "CCTV1"), testLink(500), cfg, _t0) {
+	if Connect(p, testPeer(tab, 99, "CCTV1"), testLink(500), cfg) {
 		t.Error("connection accepted beyond MaxPartners")
 	}
 	server := testPeer(tab, 200, "")
 	server.MarkServer()
 	for i := 0; i < 5; i++ {
 		q := testPeer(tab, uint32(300+i), "CCTV1")
-		if !Connect(q, server, testLink(500), cfg, _t0) {
+		if !Connect(q, server, testLink(500), cfg) {
 			t.Error("server refused connection (servers always accept)")
 		}
 	}
@@ -118,7 +118,7 @@ func TestDisconnect(t *testing.T) {
 	tab := NewTable(0)
 	cfg := DefaultConfig()
 	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
-	Connect(p, q, testLink(500), cfg, _t0)
+	Connect(p, q, testLink(500), cfg)
 	Disconnect(p, q)
 	if p.HasPartner(q.ID()) || q.HasPartner(p.ID()) {
 		t.Error("Disconnect left a side connected")
@@ -137,7 +137,7 @@ func TestPartnerIDsSorted(t *testing.T) {
 		if a == 20 {
 			twenty = q
 		}
-		Connect(p, q, testLink(500), cfg, _t0)
+		Connect(p, q, testLink(500), cfg)
 	}
 	ids := p.PartnerIDs()
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
@@ -162,7 +162,7 @@ func TestTopSuppliersRankedByScore(t *testing.T) {
 	scores := map[uint32]float64{10: 100, 11: 900, 12: 500, 13: 700, 14: 300}
 	for a, s := range scores {
 		q := testPeer(tab, a, "CCTV1")
-		if !Connect(p, q, testLink(s), cfg, _t0) {
+		if !Connect(p, q, testLink(s), cfg) {
 			t.Fatal("connect failed")
 		}
 	}
@@ -186,7 +186,7 @@ func TestTopSuppliersTieBreakByID(t *testing.T) {
 	cfg := DefaultConfig()
 	p := testPeer(tab, 1, "CCTV1")
 	for _, a := range []uint32{30, 10, 20} {
-		Connect(p, testPeer(tab, a, "CCTV1"), testLink(400), cfg, _t0)
+		Connect(p, testPeer(tab, a, "CCTV1"), testLink(400), cfg)
 	}
 	top := p.RankSuppliers(nil, 3)
 	if len(top) != 3 {
@@ -205,7 +205,7 @@ func TestResetWindowClearsWindowCounters(t *testing.T) {
 	tab := NewTable(0)
 	cfg := DefaultConfig()
 	p, q := testPeer(tab, 1, "CCTV1"), testPeer(tab, 2, "CCTV1")
-	Connect(p, q, testLink(500), cfg, _t0)
+	Connect(p, q, testLink(500), cfg)
 	pt := p.Partner(q.ID())
 	pt.WinRecv, pt.WinSent = 42, 17
 	p.ResetWindow()
@@ -254,7 +254,7 @@ func TestRecommendExcludesRequester(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := testPeer(tab, 1, "CCTV1")
 	for i := 2; i <= 12; i++ {
-		Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg, _t0)
+		Connect(p, testPeer(tab, uint32(i), "CCTV1"), testLink(500), cfg)
 	}
 	for trial := 0; trial < 50; trial++ {
 		rec := p.Recommend(rng, isp.Addr(5), 4)
@@ -279,7 +279,7 @@ func TestRecommendFewPartners(t *testing.T) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
 	p := testPeer(tab, 1, "CCTV1")
-	Connect(p, testPeer(tab, 2, "CCTV1"), testLink(500), cfg, _t0)
+	Connect(p, testPeer(tab, 2, "CCTV1"), testLink(500), cfg)
 	if rec := p.Recommend(rng, 99, 5); len(rec) != 1 {
 		t.Errorf("Recommend = %d IDs, want 1", len(rec))
 	}
@@ -309,7 +309,7 @@ func TestChurnZeroAllocs(t *testing.T) {
 		next++
 		DisconnectAll(p)
 		for c := 0; c < 50; c++ {
-			Connect(p, peers[rng.Intn(len(peers))], testLink(200+rng.Float64()*800), cfg, _t0)
+			Connect(p, peers[rng.Intn(len(peers))], testLink(200+rng.Float64()*800), cfg)
 		}
 		for _, r := range p.RankSuppliers(ranked[:0], 30) {
 			sink += r.Score

@@ -166,7 +166,7 @@ func TestRankWindowFuzz(t *testing.T) {
 	connect := func(i, j int, step int) {
 		l := link()
 		want := m.connectable(i, j)
-		if got := Connect(peers[i], peers[j], l, cfg, now); got != want {
+		if got := Connect(peers[i], peers[j], l, cfg); got != want {
 			t.Fatalf("step %d: Connect(%d, %d) = %v, model says %v", step, i+1, j+1, got, want)
 		}
 		if want {

@@ -36,7 +36,7 @@ type channelState struct {
 // NewTracker builds a tracker.
 func NewTracker(cfg Config, rng *rand.Rand) *Tracker {
 	return &Tracker{
-		cfg:      cfg.sanitize(),
+		cfg:      cfg.WithDefaults(),
 		rng:      rng,
 		channels: make(map[string]*channelState),
 		isps:     make(map[isp.Addr]isp.ISP),
@@ -126,7 +126,7 @@ func (t *Tracker) SetAvailable(channel string, id isp.Addr, available bool) {
 // itself — n is small, so a linear scan beats per-call set scratch.
 func (t *Tracker) Bootstrap(channel string, self isp.Addr, n int) []isp.Addr {
 	if n <= 0 {
-		n = t.cfg.MaxBootstrap
+		n = MaxBootstrap
 	}
 	cs := t.channel(channel)
 	t.bootOut = t.bootOut[:0]

@@ -116,8 +116,8 @@ func TestBootstrapDefaultsToMaxBootstrap(t *testing.T) {
 		tr.SetAvailable("CCTV1", i, true)
 	}
 	got := tr.Bootstrap("CCTV1", 999, 0)
-	if len(got) != DefaultConfig().MaxBootstrap {
-		t.Errorf("default bootstrap size = %d, want %d", len(got), DefaultConfig().MaxBootstrap)
+	if len(got) != MaxBootstrap {
+		t.Errorf("default bootstrap size = %d, want %d", len(got), MaxBootstrap)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestLocalitySelectionBias(t *testing.T) {
 	linkIntra := testLink(400)
 	linkIntra.SameISP = true
 	linkInter := testLink(800)
-	Connect(p, intra, linkIntra, cfg, _t0)
-	Connect(p, inter, linkInter, cfg, _t0)
+	Connect(p, intra, linkIntra, cfg)
+	Connect(p, inter, linkInter, cfg)
 	top := p.RankSuppliers(nil, 1)
 	if len(top) != 1 {
 		t.Fatalf("RankSuppliers(1) returned %d partners", len(top))
@@ -264,8 +264,8 @@ func TestLocalitySelectionBias(t *testing.T) {
 	// forms, so the unbiased case needs its own peer: the sim fixes
 	// LocalityBias before any connect and never changes it afterwards.
 	q := testPeer(tab, 4, "CCTV1")
-	Connect(q, intra, linkIntra, cfg, _t0)
-	Connect(q, inter, linkInter, cfg, _t0)
+	Connect(q, intra, linkIntra, cfg)
+	Connect(q, inter, linkInter, cfg)
 	top = q.RankSuppliers(top[:0], 1)
 	if len(top) != 1 {
 		t.Fatalf("RankSuppliers(1) returned %d partners", len(top))

@@ -174,11 +174,6 @@ func TestChurnValidation(t *testing.T) {
 			return c
 		}(),
 		func() Config { c := chaosConfig(); c.Churn.Flapping.Fraction = -0.1; return c }(),
-		func() Config {
-			c := chaosConfig()
-			c.Churn.Flapping = Flapping{Fraction: 0.1, OnMean: -time.Minute}
-			return c
-		}(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

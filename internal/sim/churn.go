@@ -34,22 +34,16 @@ type MassDeparture struct {
 type Flapping struct {
 	// Fraction of arrivals that flap instead of holding a normal session.
 	Fraction float64
-	// OnMean and OffMean are the mean online/offline stretch lengths of a
-	// flapper's duty cycle; zero values default to 5 and 2 minutes.
-	OnMean  time.Duration
-	OffMean time.Duration
-	// Cycles is how many times a flapper rejoins after its first
-	// departure; zero defaults to 4.
-	Cycles int
 }
 
-// Default flapping duty cycle: mostly-on bounces short enough that a
-// flapper rarely survives to reporting age, stressing the overlay rather
-// than the trace volume.
+// The flapping duty cycle: mean online and offline stretches, and how
+// many times a flapper rejoins after its first departure. Mostly-on
+// bounces short enough that a flapper rarely survives to reporting age
+// stress the overlay rather than the trace volume.
 const (
-	_defaultFlapOnMean  = 5 * time.Minute
-	_defaultFlapOffMean = 2 * time.Minute
-	_defaultFlapCycles  = 4
+	_flapOnMean  = 5 * time.Minute
+	_flapOffMean = 2 * time.Minute
+	_flapCycles  = 4
 )
 
 func (c ChurnConfig) validate() error {
@@ -61,47 +55,19 @@ func (c ChurnConfig) validate() error {
 			return fmt.Errorf("sim: mass departure %d fraction %v outside [0, 1]", i, md.Fraction)
 		}
 	}
-	f := c.Flapping
-	if f.Fraction < 0 || f.Fraction > 1 || f.Fraction != f.Fraction {
-		return fmt.Errorf("sim: flapping fraction %v outside [0, 1]", f.Fraction)
-	}
-	if f.OnMean < 0 || f.OffMean < 0 {
-		return fmt.Errorf("sim: negative flapping duty cycle (on %v, off %v)", f.OnMean, f.OffMean)
-	}
-	if f.Cycles < 0 {
-		return fmt.Errorf("sim: negative flapping cycle count %d", f.Cycles)
+	if f := c.Flapping.Fraction; f < 0 || f > 1 || f != f {
+		return fmt.Errorf("sim: flapping fraction %v outside [0, 1]", f)
 	}
 	return nil
 }
 
-// withDefaults fills the flapping duty cycle when flapping is enabled.
-func (f Flapping) withDefaults() Flapping {
-	if f.Fraction <= 0 {
-		return f
-	}
-	if f.OnMean <= 0 {
-		f.OnMean = _defaultFlapOnMean
-	}
-	if f.OffMean <= 0 {
-		f.OffMean = _defaultFlapOffMean
-	}
-	if f.Cycles <= 0 {
-		f.Cycles = _defaultFlapCycles
-	}
-	return f
-}
+// flapOnTime draws one online stretch: exponential around _flapOnMean,
+// floored at a second (a zero-length session would join and depart in
+// the same event) and capped at six means to keep flappers flapping.
+func flapOnTime(rng *rand.Rand) time.Duration { return expDuration(rng, _flapOnMean) }
 
-// onTime draws one online stretch: exponential around OnMean, floored at
-// a second (a zero-length session would join and depart in the same
-// event) and capped at six means to keep flappers flapping.
-func (f Flapping) onTime(rng *rand.Rand) time.Duration {
-	return expDuration(rng, f.OnMean)
-}
-
-// offTime draws one offline stretch on the same shape.
-func (f Flapping) offTime(rng *rand.Rand) time.Duration {
-	return expDuration(rng, f.OffMean)
-}
+// flapOffTime draws one offline stretch on the same shape.
+func flapOffTime(rng *rand.Rand) time.Duration { return expDuration(rng, _flapOffMean) }
 
 func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 	d := time.Duration(rng.ExpFloat64() * float64(mean))

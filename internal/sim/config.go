@@ -45,10 +45,9 @@ type Config struct {
 	// ExtraChannels is the number of channels besides CCTV1/CCTV4;
 	// defaults to 48.
 	ExtraChannels int
-	// Sessions overrides the session-length model; nil means defaults.
-	Sessions *workload.SessionModel
 
-	// Protocol carries the UUSee protocol constants.
+	// Protocol carries the protocol values an experiment varies; the
+	// fixed ones are protocol package constants.
 	Protocol protocol.Config
 	// Mode selects mesh pull (default) or the tree-push ablation.
 	Mode stream.Mode
@@ -77,17 +76,6 @@ type Config struct {
 	// bootstrapped by different trackers see different candidate pools.
 	Trackers int
 
-	// ServersPerChannel is how many origin streaming servers each channel
-	// gets; defaults to 2. ServerUpKbps is their upload capacity;
-	// defaults to 4 Mbps (about ten peers' worth of seeding per server).
-	ServersPerChannel int
-	ServerUpKbps      float64
-
-	// ReportInterval and InitialReportDelay configure the measurement
-	// instrumentation (Sec. 3.2 defaults: 10 and 20 minutes).
-	ReportInterval     time.Duration
-	InitialReportDelay time.Duration
-
 	// Sink receives every report; defaults to trace.Discard.
 	Sink trace.Sink
 
@@ -100,10 +88,6 @@ type Config struct {
 	// so a sharded run's overlay evolution is byte-identical to an
 	// unsharded one.
 	ShardSinks []trace.Sink
-
-	// ISPBlocks is the number of /16 blocks in the generated ISP
-	// database; defaults to 1024.
-	ISPBlocks int
 
 	// Progress, when non-nil, is invoked once per simulated hour.
 	Progress func(Stats)
@@ -129,10 +113,12 @@ type Config struct {
 	Journal *obs.Journal
 }
 
-// CheckScale rejects the scale settings sanitize would silently replace
-// with a default, or that make no sense. magellan-sim and magellan-report
-// call it on their parsed flags, so its errors name those flags.
-func (c Config) CheckScale() error {
+// Validate reports the first setting New would reject. Unlike New, it
+// takes a zero Duration, Tick or ExtraChannels as an error rather than as
+// a request for the default, so magellan-sim and magellan-report call it
+// on their parsed flags before they create any file, and its scale
+// errors name those flags.
+func (c Config) Validate() error {
 	switch {
 	case c.MeanConcurrency <= 0:
 		return fmt.Errorf("-concurrency must be positive, got %v", c.MeanConcurrency)
@@ -144,14 +130,28 @@ func (c Config) CheckScale() error {
 		return fmt.Errorf("-channels must be ≥ 1, got %d", c.ExtraChannels)
 	case c.Shards < 0:
 		return fmt.Errorf("-shards must be ≥ 0, got %d", c.Shards)
+	case c.Mode == stream.ModeBlock && c.Tick > 6*time.Second:
+		// One tick of stream (5 seg/s at 400 kbps) must stay under the
+		// block-mode playback delay or relays cannot keep up, and must
+		// fit in the 64-segment window.
+		return fmt.Errorf("sim: block mode needs Tick ≤ 6s, got %v", c.Tick)
+	case len(c.ShardSinks) > 0 && c.Sink != nil:
+		return fmt.Errorf("sim: Sink and ShardSinks are mutually exclusive")
 	}
-	return nil
+	for _, f := range c.Crowds {
+		if err := workload.ValidateCrowd(f); err != nil {
+			return err
+		}
+	}
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	return c.Churn.validate()
 }
 
+// sanitize fills the zero fields with their defaults, validates the
+// result, and derives the fields Validate does not judge.
 func (c Config) sanitize() (Config, error) {
-	if c.MeanConcurrency <= 0 {
-		return c, fmt.Errorf("sim: MeanConcurrency must be positive, got %v", c.MeanConcurrency)
-	}
 	if c.Start.IsZero() {
 		c.Start = workload.TraceStart()
 	}
@@ -164,109 +164,36 @@ func (c Config) sanitize() (Config, error) {
 			c.Tick = 5 * time.Second
 		}
 	}
-	if c.Mode == stream.ModeBlock && c.Tick > 6*time.Second {
-		// One tick of stream (5 seg/s at 400 kbps) must stay under the
-		// block-mode playback delay or relays cannot keep up, and must
-		// fit in the 64-segment window.
-		return c, fmt.Errorf("sim: block mode needs Tick ≤ 6s, got %v", c.Tick)
+	if c.ExtraChannels == 0 {
+		c.ExtraChannels = 48
 	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("sim: negative Shards")
+	if err := c.Validate(); err != nil {
+		return c, err
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.ExtraChannels < 0 {
-		return c, fmt.Errorf("sim: negative ExtraChannels")
-	}
-	if c.ExtraChannels == 0 {
-		c.ExtraChannels = 48
-	}
-	c.Protocol = withProtocolDefaults(c.Protocol)
+	c.Protocol = c.Protocol.WithDefaults()
 	if c.Mode == 0 {
 		c.Mode = stream.ModeMesh
 	}
 	if c.Trackers <= 0 {
 		c.Trackers = 1
 	}
-	if c.ServersPerChannel <= 0 {
-		c.ServersPerChannel = 2
-	}
-	if c.ServerUpKbps <= 0 {
-		c.ServerUpKbps = 4096
-	}
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = trace.DefaultReportInterval
-	}
-	if c.InitialReportDelay <= 0 {
-		c.InitialReportDelay = trace.DefaultInitialDelay
-	}
 	if len(c.ShardSinks) > 0 {
-		if c.Sink != nil {
-			return c, fmt.Errorf("sim: Sink and ShardSinks are mutually exclusive")
-		}
 		c.Sink = trace.NewBalancer(c.ShardSinks...)
 	}
 	if c.Sink == nil {
 		c.Sink = trace.Discard
 	}
-	if c.ISPBlocks <= 0 {
-		c.ISPBlocks = 1024
-	}
-	for _, f := range c.Crowds {
-		if err := workload.ValidateCrowd(f); err != nil {
-			return c, err
-		}
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return c, err
-	}
-	if err := c.Churn.validate(); err != nil {
-		return c, err
-	}
-	c.Churn.Flapping = c.Churn.Flapping.withDefaults()
 	return c, nil
-}
-
-// withProtocolDefaults round-trips a protocol config through its
-// defaulting logic (exposed here to keep sanitize in one place).
-func withProtocolDefaults(cfg protocol.Config) protocol.Config {
-	d := protocol.DefaultConfig()
-	if cfg.MaxBootstrap <= 0 {
-		cfg.MaxBootstrap = d.MaxBootstrap
-	}
-	if cfg.TargetActive <= 0 {
-		cfg.TargetActive = d.TargetActive
-	}
-	if cfg.MaxPartners <= 0 {
-		cfg.MaxPartners = d.MaxPartners
-	}
-	if cfg.TrackerRefill <= 0 {
-		cfg.TrackerRefill = d.TrackerRefill
-	}
-	if cfg.RecommendSize <= 0 {
-		cfg.RecommendSize = d.RecommendSize
-	}
-	if cfg.AvailabilityHeadroomKbps <= 0 {
-		cfg.AvailabilityHeadroomKbps = d.AvailabilityHeadroomKbps
-	}
-	if cfg.StarveQuality <= 0 {
-		cfg.StarveQuality = d.StarveQuality
-	}
-	if cfg.StarveRounds <= 0 {
-		cfg.StarveRounds = d.StarveRounds
-	}
-	if cfg.MaintInterval <= 0 {
-		cfg.MaintInterval = d.MaintInterval
-	}
-	return cfg
 }
 
 // Stats is a point-in-time summary of the running simulation.
 type Stats struct {
 	Now     time.Time
 	Online  int // live peers, servers excluded
-	Stable  int // live peers online at least InitialReportDelay
+	Stable  int // live peers online at least trace.DefaultInitialDelay
 	Servers int
 	Joins   uint64 // cumulative joins, flapper rejoins included
 	Reports uint64 // cumulative reports submitted

@@ -91,7 +91,7 @@ func TestStatsMatchScan(t *testing.T) {
 	s.cfg.Progress = func(st Stats) {
 		checks++
 		online, stable := 0, 0
-		cutoff := st.Now.Add(-s.cfg.InitialReportDelay)
+		cutoff := st.Now.Add(-trace.DefaultInitialDelay)
 		for _, p := range s.peers {
 			if p.IsServer() {
 				continue

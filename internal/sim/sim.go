@@ -91,6 +91,9 @@ type peerRuntime struct {
 	stable   bool
 }
 
+// _ispBlocks is the number of /16 blocks in the generated ISP database.
+const _ispBlocks = 1024
+
 // New builds a simulation: generates the ISP database, seeds the origin
 // servers, and arms the first arrival.
 func New(cfg Config) (*Simulation, error) {
@@ -100,7 +103,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	db, err := isp.Generate(rand.New(rand.NewSource(cfg.Seed+1)), isp.GenConfig{Blocks: cfg.ISPBlocks})
+	db, err := isp.Generate(rand.New(rand.NewSource(cfg.Seed+1)), isp.GenConfig{Blocks: _ispBlocks})
 	if err != nil {
 		return nil, fmt.Errorf("sim: generate ISP database: %w", err)
 	}
@@ -108,7 +111,6 @@ func New(cfg Config) (*Simulation, error) {
 	wl, err := workload.New(workload.Config{
 		Seed:            cfg.Seed + 2,
 		MeanConcurrency: cfg.MeanConcurrency,
-		Sessions:        cfg.Sessions,
 		Channels:        workload.DefaultChannels(cfg.ExtraChannels),
 		Crowds:          cfg.Crowds,
 	})
@@ -128,9 +130,8 @@ func New(cfg Config) (*Simulation, error) {
 		db:      db,
 		alloc:   isp.NewAllocator(rand.New(rand.NewSource(cfg.Seed+4)), db),
 		ex: stream.NewExchange(stream.Config{
-			Mode:         cfg.Mode,
-			TargetActive: cfg.Protocol.TargetActive,
-			Shards:       cfg.Shards,
+			Mode:   cfg.Mode,
+			Shards: cfg.Shards,
 		}, rand.New(rand.NewSource(cfg.Seed+6))),
 		tab: protocol.NewTable(int(cfg.MeanConcurrency)),
 	}
@@ -158,7 +159,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 
 	// Maintenance loop and first arrival.
-	s.sched.Every(cfg.Start.Add(cfg.Protocol.MaintInterval), cfg.Protocol.MaintInterval, s.maintain)
+	s.sched.Every(cfg.Start.Add(protocol.MaintInterval), protocol.MaintInterval, s.maintain)
 	s.sched.At(s.wl.NextArrival(cfg.Start), s.handleArrival)
 
 	// Churn scenario events.
@@ -190,7 +191,7 @@ func (s *Simulation) trackerFor(addr isp.Addr) *protocol.Tracker {
 // still inside its initial report delay is exactly the set the old
 // full-population scan counted with JoinedAt ≤ now−delay.
 func (s *Simulation) drainStable() {
-	cutoff := s.sched.Now().Add(-s.cfg.InitialReportDelay)
+	cutoff := s.sched.Now().Add(-trace.DefaultInitialDelay)
 	for s.stableHead < len(s.stableQ) {
 		rt := s.stableQ[s.stableHead]
 		if !rt.departed && rt.peer.JoinedAt.After(cutoff) {
@@ -270,6 +271,13 @@ func (s *Simulation) Run() error {
 	return nil
 }
 
+// Every channel gets _serversPerChannel origin servers of _serverUpKbps
+// upload capacity each: about ten peers' worth of seeding per server.
+const (
+	_serversPerChannel = 2
+	_serverUpKbps      = 4096
+)
+
 // seedServers places origin servers in every channel and registers them
 // as always-available at the tracker.
 func (s *Simulation) seedServers() error {
@@ -278,7 +286,7 @@ func (s *Simulation) seedServers() error {
 	isps := isp.All()
 	i := 0
 	for _, ch := range s.wl.Channels().Channels() {
-		for k := 0; k < s.cfg.ServersPerChannel; k++ {
+		for k := 0; k < _serversPerChannel; k++ {
 			owner := isps[i%len(isps)]
 			i++
 			addr, err := s.alloc.Alloc(owner)
@@ -288,7 +296,7 @@ func (s *Simulation) seedServers() error {
 			host := netsim.Host{
 				Addr: addr,
 				ISP:  owner,
-				Cap:  netsim.Capacity{UpKbps: s.cfg.ServerUpKbps, DownKbps: s.cfg.ServerUpKbps},
+				Cap:  netsim.Capacity{UpKbps: _serverUpKbps, DownKbps: _serverUpKbps},
 			}
 			srv := s.tab.Add(host, 8000, ch.Name, 0, s.cfg.Start)
 			srv.MarkServer()
@@ -322,9 +330,9 @@ func (s *Simulation) handleArrival(now time.Time) {
 	session := s.wl.SampleSession()
 
 	flapsLeft := 0
-	if f := s.cfg.Churn.Flapping; f.Fraction > 0 && s.rng.Float64() < f.Fraction {
-		flapsLeft = f.Cycles
-		session = f.onTime(s.rng)
+	if f := s.cfg.Churn.Flapping.Fraction; f > 0 && s.rng.Float64() < f {
+		flapsLeft = _flapCycles
+		session = flapOnTime(s.rng)
 	}
 	s.joinPeer(host, ch, session, flapsLeft, now)
 }
@@ -343,12 +351,12 @@ func (s *Simulation) joinPeer(host netsim.Host, ch workload.Channel, session tim
 	tr.SetISP(host.Addr, host.ISP)
 	tr.SetAvailable(ch.Name, host.Addr, true)
 
-	s.bootstrap(p, s.cfg.Protocol.MaxBootstrap, now)
+	s.bootstrap(p, protocol.MaxBootstrap, now)
 
 	rt.channel = ch
 	rt.flapsLeft = flapsLeft
 	rt.depart = s.sched.At(now.Add(session), func(t time.Time) { s.handleDeparture(p, t) })
-	rt.report = s.sched.Every(now.Add(s.cfg.InitialReportDelay), s.cfg.ReportInterval,
+	rt.report = s.sched.Every(now.Add(trace.DefaultInitialDelay), trace.DefaultReportInterval,
 		func(t time.Time) { s.emitReport(p, t) })
 }
 
@@ -360,7 +368,7 @@ func (s *Simulation) bootstrap(p *protocol.Peer, n int, now time.Time) {
 			continue
 		}
 		link := s.network.Link(p.Host, q.Host)
-		protocol.Connect(p, q, link, s.cfg.Protocol, now)
+		protocol.Connect(p, q, link, s.cfg.Protocol)
 	}
 }
 
@@ -396,10 +404,9 @@ func (s *Simulation) handleDeparture(p *protocol.Peer, now time.Time) {
 	s.remove(p)
 
 	if !isServer && rt.flapsLeft > 0 {
-		f := s.cfg.Churn.Flapping
 		host, ch, left := p.Host, rt.channel, rt.flapsLeft-1
 		s.flaps++
-		s.sched.At(now.Add(f.offTime(s.rng)), func(t time.Time) { s.rejoin(host, ch, left, t) })
+		s.sched.At(now.Add(flapOffTime(s.rng)), func(t time.Time) { s.rejoin(host, ch, left, t) })
 	}
 }
 
@@ -411,7 +418,7 @@ func (s *Simulation) rejoin(host netsim.Host, ch workload.Channel, flapsLeft int
 		// corrupt the live set, so skip the bounce.
 		return
 	}
-	s.joinPeer(host, ch, s.cfg.Churn.Flapping.onTime(s.rng), flapsLeft, now)
+	s.joinPeer(host, ch, flapOnTime(s.rng), flapsLeft, now)
 }
 
 // massDepart fires one mass-departure event: every live non-server peer
@@ -471,7 +478,7 @@ func (s *Simulation) emitReport(p *protocol.Peer, now time.Time) {
 		id = obs.ReportID{
 			Addr:    uint32(addr),
 			Channel: p.Channel,
-			Epoch:   now.UnixNano() / int64(s.cfg.ReportInterval),
+			Epoch:   now.UnixNano() / int64(trace.DefaultReportInterval),
 			Seq:     s.seqs[addr],
 		}
 		s.journal.Record(now.UnixNano(), obs.StageEmit, obs.VerdictEmitted, id)
@@ -588,14 +595,14 @@ func (s *Simulation) maintain(now time.Time) {
 		// downlink compares against what its own access link can carry,
 		// not the full stream rate — no client keeps re-bootstrapping
 		// over a structural last-mile limit.
-		starveBar := cfg.StarveQuality
+		starveBar := protocol.StarveQuality
 		if rate := p.RateKbps(); rate > 0 && p.Host.Cap.DownKbps < rate {
 			starveBar *= p.Host.Cap.DownKbps / rate
 		}
 		if p.QualityEWMA() < starveBar {
 			p.StarveCount++
-			if p.StarveCount >= cfg.StarveRounds {
-				s.bootstrap(p, cfg.TrackerRefill, now)
+			if p.StarveCount >= protocol.StarveRounds {
+				s.bootstrap(p, protocol.TrackerRefill, now)
 				p.StarveCount = 0
 			}
 		} else {
@@ -605,23 +612,23 @@ func (s *Simulation) maintain(now time.Time) {
 		// Recommendation: a peer short of its target active set asks a
 		// random partner for known peers, building the triangles behind
 		// the paper's clustering observations.
-		if !s.cfg.NoRecommendation && p.PartnerCount() > 0 && p.PartnerCount() < cfg.TargetActive {
+		if !s.cfg.NoRecommendation && p.PartnerCount() > 0 && p.PartnerCount() < protocol.TargetActive {
 			helper := s.tab.Lookup(p.PartnerIDAt(s.rng.Intn(p.PartnerCount())))
 			if helper != nil {
-				for _, id := range helper.Recommend(s.rng, p.ID(), cfg.RecommendSize) {
+				for _, id := range helper.Recommend(s.rng, p.ID(), protocol.RecommendSize) {
 					q := s.tab.Lookup(id)
 					if q == nil || p.HasPartner(id) {
 						continue
 					}
 					link := s.network.Link(p.Host, q.Host)
-					protocol.Connect(p, q, link, cfg, now)
+					protocol.Connect(p, q, link, cfg)
 				}
 			}
 		}
 
 		// Availability: volunteer at the tracker while upload headroom
 		// remains, exactly the protocol's capacity-utilization strategy.
-		available := p.SpareUploadKbps() > cfg.AvailabilityHeadroomKbps && p.AcceptsConnection(cfg)
+		available := p.SpareUploadKbps() > protocol.AvailabilityHeadroomKbps && p.AcceptsConnection(cfg)
 		s.trackerFor(p.ID()).SetAvailable(p.Channel, p.ID(), available)
 	}
 }

@@ -45,7 +45,7 @@ func buildSwarm(n, degree int, seed int64) (*protocol.Table, []*protocol.Peer) {
 	for _, p := range peers[4:] {
 		for k := 0; k < degree; k++ {
 			q := peers[rng.Intn(len(peers))]
-			protocol.Connect(p, q, link, cfg, time.Time{})
+			protocol.Connect(p, q, link, cfg)
 		}
 	}
 	return tab, peers

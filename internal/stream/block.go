@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/protocol"
+	"github.com/magellan-p2p/magellan/internal/workload"
 )
 
 // ModeBlock is the block-level exchange: instead of allocating fluid
@@ -50,7 +51,7 @@ func (e *Exchange) blockTick(tab *protocol.Table, peers []*protocol.Peer, dt, el
 		if !cols.Server[p.Handle()] {
 			continue
 		}
-		edge := uint64(SegOf(400, elapsed)) // channels share the 400 kbps rate
+		edge := uint64(SegOf(workload.StreamRateKbps, elapsed)) // every channel streams at this rate
 		start := uint64(0)
 		if edge > protocol.WindowSize {
 			start = edge - protocol.WindowSize
@@ -96,7 +97,7 @@ func (e *Exchange) blockTick(tab *protocol.Table, peers []*protocol.Peer, dt, el
 		missing = missing[:0]
 		missing = p.Buffer.Missing(missing, uint64(p.PlaySeg), uint64(horizon))
 		if len(missing) > 0 {
-			ranked := p.RankSuppliers(e.ranked[0][:0], e.cfg.TargetActive)
+			ranked := p.RankSuppliers(e.ranked[0][:0], protocol.TargetActive)
 			perLink := e.perLink[:0]
 			stripe := SegOf(rate, dt) * e.cfg.SpreadFraction * 2
 			for _, rk := range ranked {

@@ -74,16 +74,14 @@ const (
 	ModeTreePush
 )
 
+// _overRequest is how much more than its demand a receiver asks for, to
+// absorb supplier-side shortfalls.
+const _overRequest = 1.2
+
 // Config tunes the exchange.
 type Config struct {
 	// Mode defaults to ModeMesh.
 	Mode Mode
-	// TargetActive is the maximum number of suppliers a receiver pulls
-	// from per tick (the protocol's ~30 selection).
-	TargetActive int
-	// OverRequest is how much more than its demand a receiver asks for,
-	// to absorb supplier-side shortfalls. Defaults to 1.2.
-	OverRequest float64
 	// SpreadFraction caps how much of its demand a receiver requests
 	// from any single supplier. Block-based swarming stripes requests
 	// across many partners rather than draining one, which is what keeps
@@ -100,12 +98,6 @@ type Config struct {
 func (c Config) sanitize() Config {
 	if c.Mode == 0 {
 		c.Mode = ModeMesh
-	}
-	if c.TargetActive <= 0 {
-		c.TargetActive = protocol.DefaultConfig().TargetActive
-	}
-	if c.OverRequest <= 1 {
-		c.OverRequest = 1.2
 	}
 	if c.SpreadFraction <= 0 || c.SpreadFraction > 1 {
 		c.SpreadFraction = 0.15
@@ -358,14 +350,14 @@ func (e *Exchange) collectInto(dst []request, p *protocol.Peer, cols protocol.Co
 	if demand <= 0 {
 		return dst
 	}
-	want := demand * e.cfg.OverRequest
+	want := demand * _overRequest
 	// A receiver cannot aggregate beyond its own downlink; peers on weak
 	// access links are structurally capped below the stream rate.
 	if lim := SegOf(cols.Down[h], dt); want > lim {
 		want = lim
 	}
 	covered := 0.0
-	ranked := p.RankSuppliers(e.ranked[worker][:0], e.cfg.TargetActive)
+	ranked := p.RankSuppliers(e.ranked[worker][:0], protocol.TargetActive)
 	for _, rk := range ranked {
 		pt := rk.Pt
 		sh := pt.Handle()

@@ -42,7 +42,7 @@ func (m *mesh) add(addr uint32, upKbps float64, server bool) *protocol.Peer {
 
 func (m *mesh) connect(a, b *protocol.Peer, capKbps float64) {
 	link := netsim.Link{RTT: 30 * time.Millisecond, CapacityKbps: capKbps}
-	if !protocol.Connect(a, b, link, protocol.DefaultConfig(), _t0) {
+	if !protocol.Connect(a, b, link, protocol.DefaultConfig()) {
 		panic("connect failed in test setup")
 	}
 }
@@ -336,12 +336,6 @@ func TestConfigSanitize(t *testing.T) {
 	e := NewExchange(Config{}, rand.New(rand.NewSource(1)))
 	if e.cfg.Mode != ModeMesh {
 		t.Errorf("default mode = %v, want ModeMesh", e.cfg.Mode)
-	}
-	if e.cfg.TargetActive != protocol.DefaultConfig().TargetActive {
-		t.Errorf("default TargetActive = %d", e.cfg.TargetActive)
-	}
-	if e.cfg.OverRequest != 1.2 {
-		t.Errorf("default OverRequest = %v, want 1.2", e.cfg.OverRequest)
 	}
 }
 

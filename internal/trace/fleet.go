@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 
 	"github.com/magellan-p2p/magellan/internal/obs"
@@ -41,16 +42,33 @@ type Fleet struct {
 	servers []*Server
 }
 
-// NewFleet starts one server per listen address, in shard order.
-// sinkFor builds shard K's sink (called with K ascending from 0); on
-// any failure every already-started member is closed and the error
-// returned.
-func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetConfig) (*Fleet, error) {
+// NewFleet starts one server per listen address, in shard order. Every
+// address is bound before the first sink is built, so a busy port fails
+// the fleet before any sink creates a file. sinkFor builds shard K's
+// sink (called with K ascending from 0); on any failure every socket and
+// already-started member is closed and the error returned.
+func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetConfig) (_ *Fleet, err error) {
 	n := len(addrs)
 	if n == 0 {
 		return nil, errors.New("trace: fleet needs at least one listen address")
 	}
+	conns := make([]*net.UDPConn, 0, n)
 	f := &Fleet{}
+	defer func() {
+		if err != nil {
+			for _, c := range conns[len(f.servers):] {
+				c.Close() //magellan:allow erridle — best-effort cleanup; the listen or sink error wins
+			}
+			f.Close() //magellan:allow erridle — best-effort cleanup; the listen or sink error wins
+		}
+	}()
+	for i, addr := range addrs {
+		conn, err := listenUDP(addr)
+		if err != nil {
+			return nil, fmt.Errorf("trace fleet: shard %d: %w", i, err)
+		}
+		conns = append(conns, conn)
+	}
 	// Sink-submit latency is pooled into one fleet-wide histogram:
 	// per-shard latency families would multiply bucket series without
 	// changing any decision the dashboards make. It must exist before
@@ -62,10 +80,9 @@ func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetCo
 			"Wall time of each sink submit across the fleet, successful or not.",
 			obs.DefLatencyBuckets())
 	}
-	for i, addr := range addrs {
+	for i, conn := range conns {
 		sink, err := sinkFor(i)
 		if err != nil {
-			f.Close() //magellan:allow erridle — best-effort cleanup; the sink error wins
 			return nil, fmt.Errorf("trace fleet: shard %d sink: %w", i, err)
 		}
 		scfg := ServerConfig{
@@ -84,12 +101,7 @@ func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetCo
 			scfg.Shard = int32(i + 1)
 			scfg.SinkLatency = latency
 		}
-		srv, err := NewServerWithConfig(addr, sink, scfg)
-		if err != nil {
-			f.Close() //magellan:allow erridle — best-effort cleanup; the listen error wins
-			return nil, fmt.Errorf("trace fleet: shard %d: %w", i, err)
-		}
-		f.servers = append(f.servers, srv)
+		f.servers = append(f.servers, serve(conn, sink, scfg))
 	}
 	if n > 1 && cfg.Obs != nil {
 		registerFleetMetrics(cfg.Obs, f)

@@ -125,6 +125,15 @@ func NewServer(addr string, sink Sink) (*Server, error) {
 
 // NewServerWithConfig is NewServer with explicit tuning.
 func NewServerWithConfig(addr string, sink Sink, cfg ServerConfig) (*Server, error) {
+	conn, err := listenUDP(addr)
+	if err != nil {
+		return nil, err
+	}
+	return serve(conn, sink, cfg), nil
+}
+
+// listenUDP binds a trace server's socket.
+func listenUDP(addr string) (*net.UDPConn, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("trace server: resolve %q: %w", addr, err)
@@ -140,6 +149,11 @@ func NewServerWithConfig(addr string, sink Sink, cfg ServerConfig) (*Server, err
 	if err := conn.SetReadBuffer(4 << 20); err != nil {
 		log.Printf("trace server: set read buffer: %v", err)
 	}
+	return conn, nil
+}
+
+// serve starts the receive and ingest loops on a bound socket.
+func serve(conn *net.UDPConn, sink Sink, cfg ServerConfig) *Server {
 	depth := cfg.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -164,7 +178,7 @@ func NewServerWithConfig(addr string, sink Sink, cfg ServerConfig) (*Server, err
 	go s.recvLoop()
 	s.workWG.Add(1)
 	go s.ingestLoop()
-	return s, nil
+	return s
 }
 
 // registerIngestMetrics exposes the server's accounting. The counters

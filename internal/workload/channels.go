@@ -6,6 +6,10 @@ import (
 	"math/rand"
 )
 
+// StreamRateKbps is the rate every channel streams at: UUSee streams are
+// "mostly encoded to high quality streams around 400 Kbps".
+const StreamRateKbps = 400
+
 // Channel is a live stream with a popularity weight. UUSee broadcast over
 // 800 channels; the paper's per-channel results use CCTV1 and CCTV4, with
 // CCTV1 drawing about five times the concurrent audience of CCTV4
@@ -13,8 +17,7 @@ import (
 type Channel struct {
 	Name   string
 	Weight float64
-	// RateKbps is the channel streaming rate; UUSee streams are "mostly
-	// encoded to high quality streams around 400 Kbps".
+	// RateKbps is the channel streaming rate.
 	RateKbps float64
 }
 
@@ -48,8 +51,8 @@ func NewChannelSet(channels []Channel) (*ChannelSet, error) {
 // extra must be ≥ 0; the total channel count is extra + 2.
 func DefaultChannels(extra int) *ChannelSet {
 	channels := []Channel{
-		{Name: "CCTV1", Weight: 30, RateKbps: 400},
-		{Name: "CCTV4", Weight: 6, RateKbps: 400},
+		{Name: "CCTV1", Weight: 30, RateKbps: StreamRateKbps},
+		{Name: "CCTV4", Weight: 6, RateKbps: StreamRateKbps},
 	}
 	if extra > 0 {
 		var zipfTotal float64
@@ -61,7 +64,7 @@ func DefaultChannels(extra int) *ChannelSet {
 			channels = append(channels, Channel{
 				Name:     fmt.Sprintf("CH%03d", i),
 				Weight:   remaining / zipfTotal / math.Pow(float64(i), 0.8),
-				RateKbps: 400,
+				RateKbps: StreamRateKbps,
 			})
 		}
 	}

@@ -15,19 +15,15 @@ type Config struct {
 	// the base arrival rate is derived from it via Little's law. The
 	// paper observes ~100,000; simulations typically scale down.
 	MeanConcurrency float64
-	// Profile shapes the diurnal/weekly multiplier. Zero value means
-	// DefaultProfile.
-	Profile Profile
-	// Sessions samples session lengths. Nil means DefaultSessions.
-	Sessions *SessionModel
 	// Channels is the channel popularity. Nil means DefaultChannels(48).
 	Channels *ChannelSet
 	// Crowds lists flash-crowd surges.
 	Crowds []FlashCrowd
 }
 
-// Workload turns a Config into a stream of peer arrivals, each with a
-// session length and a channel.
+// Workload turns a Config into a stream of peer arrivals at a rate
+// shaped by DefaultProfile, each with a channel and a session length
+// drawn from DefaultSessions.
 //
 // Workload is not safe for concurrent use; the simulator drives it from
 // its single event loop.
@@ -48,24 +44,12 @@ func New(cfg Config) (*Workload, error) {
 	if cfg.MeanConcurrency <= 0 {
 		return nil, fmt.Errorf("workload: MeanConcurrency must be positive, got %v", cfg.MeanConcurrency)
 	}
-	profile := cfg.Profile
-	if profile == (Profile{}) {
-		profile = DefaultProfile()
-	}
-	sessions := cfg.Sessions
-	if sessions == nil {
-		sessions = DefaultSessions()
-	}
+	profile, sessions := DefaultProfile(), DefaultSessions()
 	channels := cfg.Channels
 	if channels == nil {
 		channels = DefaultChannels(48)
 	}
-
-	meanSession := sessions.Mean().Seconds()
-	if meanSession <= 0 {
-		return nil, fmt.Errorf("workload: session model has non-positive mean")
-	}
-	base := cfg.MeanConcurrency / (meanSession * profile.Mean())
+	base := cfg.MeanConcurrency / (sessions.Mean().Seconds() * profile.Mean())
 
 	maxMult := profile.Max()
 	for _, f := range cfg.Crowds {
@@ -89,9 +73,6 @@ func New(cfg Config) (*Workload, error) {
 func (w *Workload) Rate(t time.Time) float64 {
 	return w.baseRate * w.profile.Multiplier(t) * w.crowdMultiplier(t)
 }
-
-// BaseRate returns the derived arrival rate at multiplier 1.
-func (w *Workload) BaseRate() float64 { return w.baseRate }
 
 // Channels exposes the channel set.
 func (w *Workload) Channels() *ChannelSet { return w.channels }
