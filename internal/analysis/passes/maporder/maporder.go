@@ -1,7 +1,8 @@
 // Package maporder flags map iteration whose visit order leaks into
 // output: writing to an encoder/writer from inside a `for range m`
 // body, or collecting map keys/values into a slice that is never
-// sorted afterwards. Either one makes a snapshot CSV or trace file
+// sorted afterwards — whether the body appends itself or calls a local
+// closure that does. Either one makes a snapshot CSV or trace file
 // differ between two runs of the same seed — the exact failure mode
 // Magellan's report pipeline must never have.
 package maporder
@@ -20,7 +21,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag `for range` over a map that writes to an encoder/writer in " +
 		"the loop body, or that appends to a slice which is never sorted " +
-		"afterwards in the same function",
+		"afterwards in the same function, either in the body or through a " +
+		"local closure the body calls",
 	Run: run,
 }
 
@@ -64,33 +66,21 @@ func checkRange(pass *analysis.Pass, info *types.Info, fnBody *ast.BlockStmt, rs
 	// Slices fed by append inside the loop, keyed by the slice variable,
 	// remembering the first append position for the report.
 	appended := make(map[types.Object]token.Pos)
+	noteAppends(info, rs.Body, rs.Pos(), appended)
 
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if name, emitting := emittingCall(info, n); emitting {
-				pass.Reportf(n.Pos(),
-					"%s inside iteration over a map writes in nondeterministic order; "+
-						"collect and sort the keys first", name)
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isAppend(info, call) || len(call.Args) == 0 {
-					continue
-				}
-				target, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Uses[target]
-				if obj == nil || obj.Pos() >= rs.Pos() {
-					continue // loop-local accumulation; order can't escape
-				}
-				if _, seen := appended[obj]; !seen {
-					appended[obj] = n.Pos()
-				}
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if name, emitting := emittingCall(info, call); emitting {
+			pass.Reportf(call.Pos(),
+				"%s inside iteration over a map writes in nondeterministic order; "+
+					"collect and sort the keys first", name)
+		}
+		// A closure the body calls appends in iteration order too.
+		if lit := boundFuncLit(info, fnBody, rs.Pos(), call); lit != nil {
+			noteAppends(info, lit, rs.Pos(), appended)
 		}
 		return true
 	})
@@ -103,6 +93,67 @@ func checkRange(pass *analysis.Pass, info *types.Info, fnBody *ast.BlockStmt, rs
 				obj.Name())
 		}
 	}
+}
+
+// noteAppends records in appended every slice an append inside body
+// accumulates into that outlives the loop at loop: declared before the
+// loop and outside body.
+func noteAppends(info *types.Info, body ast.Node, loop token.Pos, appended map[types.Object]token.Pos) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, rhs := range as.Rhs {
+			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+			if !ok || !isAppend(info, call) || len(call.Args) == 0 {
+				continue
+			}
+			target, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := info.Uses[target]
+			if obj == nil || obj.Pos() >= loop || (body.Pos() <= obj.Pos() && obj.Pos() < body.End()) {
+				continue // loop- or closure-local accumulation; order can't escape
+			}
+			if _, seen := appended[obj]; !seen {
+				appended[obj] = as.Pos()
+			}
+		}
+		return true
+	})
+}
+
+// boundFuncLit returns the function literal that call's callee, a local
+// variable, was last assigned before pos in fnBody (`f := func…` or
+// `f = func…`), or nil.
+func boundFuncLit(info *types.Info, fnBody *ast.BlockStmt, pos token.Pos, call *ast.CallExpr) *ast.FuncLit {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	obj, ok := info.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	var lit *ast.FuncLit
+	ast.Inspect(fnBody, func(n ast.Node) bool {
+		if n == nil || n.Pos() >= pos {
+			return false
+		}
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, lhs := range as.Lhs {
+				name, _ := ast.Unparen(lhs).(*ast.Ident)
+				fl, isLit := ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
+				if isLit && name != nil && (info.Defs[name] == obj || info.Uses[name] == obj) {
+					lit = fl
+				}
+			}
+		}
+		return true
+	})
+	return lit
 }
 
 // emittingCall reports whether call serializes data: a writer/encoder

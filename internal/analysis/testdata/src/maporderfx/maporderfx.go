@@ -1,6 +1,7 @@
 // Package maporderfx exercises the maporder analyzer: emission inside
-// map iteration and unsorted key collection are flagged; the
-// collect-sort-emit pattern and slice iteration stay clean.
+// map iteration and unsorted key collection, direct or through a local
+// closure, are flagged; the collect-sort-emit pattern and slice
+// iteration stay clean.
 package maporderfx
 
 import (
@@ -33,6 +34,32 @@ func BuildUnsorted(shares map[string]float64) []string {
 	for name := range shares {
 		names = append(names, name) // want `names accumulates map keys`
 	}
+	return names
+}
+
+// BuildThroughClosure collects keys through a local closure the map
+// range calls, and never sorts them: flagged at the closure's append.
+func BuildThroughClosure(shares map[string]float64) []string {
+	var names []string
+	add := func(name string) {
+		names = append(names, name) // want `names accumulates map keys`
+	}
+	for name := range shares {
+		add(name)
+	}
+	return names
+}
+
+// BuildThroughClosureSorted sorts what its closure collected: clean.
+func BuildThroughClosureSorted(shares map[string]float64) []string {
+	var names []string
+	add := func(name string) {
+		names = append(names, name)
+	}
+	for name := range shares {
+		add(name)
+	}
+	sort.Strings(names)
 	return names
 }
 

@@ -112,27 +112,27 @@ func (v EpochView) ActiveEdges(threshold uint32, add func(from, to isp.Addr)) {
 // present even when isolated. This is the graph of the reciprocity
 // analysis (Sec. 4.4).
 func (v EpochView) ActiveGraph(threshold uint32) *graph.Digraph {
-	return v.ActiveGraphInto(graph.NewCSRBuilder(), threshold)
+	return v.ActiveGraphInto(graph.NewCSRBuilder(), new(graph.Digraph), threshold)
 }
 
-// ActiveGraphInto is ActiveGraph through a caller-provided builder whose
-// scratch buffers are reused across epochs.
-func (v EpochView) ActiveGraphInto(b *graph.CSRBuilder, threshold uint32) *graph.Digraph {
+// ActiveGraphInto is ActiveGraph built into g through b. Both keep their
+// buffers across epochs; the graph is valid until the next build into g.
+func (v EpochView) ActiveGraphInto(b *graph.CSRBuilder, g *graph.Digraph, threshold uint32) *graph.Digraph {
 	b.Reset(v.addrs)
 	v.ActiveEdges(threshold, func(from, to isp.Addr) { b.AddEdge(from, to) })
-	return b.Build()
+	return b.BuildInto(g)
 }
 
 // StableGraph builds the directed graph induced on stable peers: "only
 // including the stable peers and the active links among them"
 // (Sec. 4.3). This is the graph of the small-world analysis.
 func (v EpochView) StableGraph(threshold uint32) *graph.Digraph {
-	return v.StableGraphInto(graph.NewCSRBuilder(), threshold)
+	return v.StableGraphInto(graph.NewCSRBuilder(), new(graph.Digraph), threshold)
 }
 
-// StableGraphInto is StableGraph through a caller-provided builder whose
-// scratch buffers are reused across epochs.
-func (v EpochView) StableGraphInto(b *graph.CSRBuilder, threshold uint32) *graph.Digraph {
+// StableGraphInto is StableGraph built into g through b. Both keep their
+// buffers across epochs; the graph is valid until the next build into g.
+func (v EpochView) StableGraphInto(b *graph.CSRBuilder, g *graph.Digraph, threshold uint32) *graph.Digraph {
 	b.Reset(v.addrs)
 	// After Reset the builder contains exactly the stable peers, and
 	// edges between two stable peers never register new nodes, so
@@ -142,7 +142,7 @@ func (v EpochView) StableGraphInto(b *graph.CSRBuilder, threshold uint32) *graph
 			b.AddEdge(from, to)
 		}
 	})
-	return b.Build()
+	return b.BuildInto(g)
 }
 
 // PeerDegrees summarizes one stable peer's partner list: total partners,

@@ -252,10 +252,11 @@ func TestNewEpochViewZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGraphBuildAllocsBounded pins the per-epoch graph construction to a
-// small constant number of allocations (the returned Digraph's own
-// arrays) once the builder's scratch is warm — independent of how many
-// epochs have been processed before.
+// TestGraphBuildAllocsBounded pins the per-epoch graph construction:
+// once the builder's scratch and the Digraph arena are warm, building
+// into the arena allocates nothing, and building into a fresh Digraph
+// costs only that graph's own arrays — independent of how many epochs
+// have been processed before.
 func TestGraphBuildAllocsBounded(t *testing.T) {
 	store, _ := scaledTrace(t)
 	ix := store.Seal()
@@ -263,20 +264,55 @@ func TestGraphBuildAllocsBounded(t *testing.T) {
 	v := NewIndexedEpochView(ix, epochs[len(epochs)/2])
 
 	b := graph.NewCSRBuilder()
-	v.StableGraphInto(b, DefaultActiveThreshold) // warm the scratch
-	if allocs := testing.AllocsPerRun(10, func() {
-		g := v.StableGraphInto(b, DefaultActiveThreshold)
-		if g.N() == 0 {
-			t.Fatal("empty graph")
+	var g graph.Digraph
+	for _, build := range []struct {
+		name string
+		into func(*graph.CSRBuilder, *graph.Digraph, uint32) *graph.Digraph
+	}{
+		{"StableGraphInto", v.StableGraphInto},
+		{"ActiveGraphInto", v.ActiveGraphInto},
+	} {
+		build.into(b, &g, DefaultActiveThreshold) // warm the scratch and the arena
+		if allocs := testing.AllocsPerRun(10, func() {
+			if build.into(b, &g, DefaultActiveThreshold).N() == 0 {
+				t.Fatal("empty graph")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects per call into a warm arena, want 0", build.name, allocs)
 		}
-	}); allocs > 12 {
-		t.Errorf("StableGraphInto allocates %.0f objects per call with warm scratch, want <= 12", allocs)
+		if allocs := testing.AllocsPerRun(10, func() {
+			_ = build.into(b, new(graph.Digraph), DefaultActiveThreshold)
+		}); allocs > 12 {
+			t.Errorf("%s allocates %.0f objects per call into a fresh Digraph with warm scratch, want <= 12", build.name, allocs)
+		}
 	}
+}
 
-	v.ActiveGraphInto(b, DefaultActiveThreshold)
-	if allocs := testing.AllocsPerRun(10, func() {
-		_ = v.ActiveGraphInto(b, DefaultActiveThreshold)
-	}); allocs > 12 {
-		t.Errorf("ActiveGraphInto allocates %.0f objects per call with warm scratch, want <= 12", allocs)
+// TestKernelWarmAllocs pins the warm per-epoch kernel to the metrics it
+// returns: once a worker's scratch has seen every epoch of the trace, a
+// heavy or light epoch allocates only the EpochMetrics and its two maps
+// (≤ 5 objects), with every graph, baseline and the RNG reused.
+func TestKernelWarmAllocs(t *testing.T) {
+	store, db := scaledTrace(t)
+	ix := store.Seal()
+	// No snapshot instants: a Fig. 4 snapshot is output, not scratch.
+	k := onlineKernel(ix.Interval(), db, Config{Seed: 1, Snapshots: []SnapshotSpec{}})
+	sc := newEpochScratch()
+	epochs := ix.Epochs()
+	for pos, e := range epochs {
+		k.run(NewIndexedEpochView(ix, e), pos, sc)
+	}
+	v := NewIndexedEpochView(ix, epochs[len(epochs)/2])
+	for _, c := range []struct {
+		name string
+		pos  int
+	}{{"heavy", 0}, {"light", 1}} {
+		if allocs := testing.AllocsPerRun(5, func() {
+			if m := k.run(v, c.pos, sc); m.Heavy != (c.pos == 0) {
+				t.Fatalf("pos %d: Heavy = %v", c.pos, m.Heavy)
+			}
+		}); allocs > 5 {
+			t.Errorf("warm %s epoch allocates %.0f objects, want <= 5 (the EpochMetrics and its two maps)", c.name, allocs)
+		}
 	}
 }

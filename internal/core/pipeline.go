@@ -205,26 +205,42 @@ type EpochMetrics struct {
 	Snapshot *DegreeSnapshot
 }
 
-// epochScratch is the per-worker reusable state: the graph builders
-// whose index maps and edge arrays survive from epoch to epoch, the
-// column builder for epochs sent as raw reports, and the worker's shard
-// of the Fig. 1B day-distinct fold (merged after the pool drains, so no
-// lock serializes the hot loop). One scratch serves any number of
-// sequential epochs; concurrent workers need one each.
+// epochScratch is the per-worker reusable state: the graph builder
+// whose index map and edge arrays survive from epoch to epoch, the graph
+// arenas the kernel builds each epoch's graphs into, the random-baseline
+// scratch, the RNG each heavy epoch re-seeds, the column builder for
+// epochs sent as raw reports, and the worker's shard of the Fig. 1B
+// day-distinct fold (merged after the pool drains, so no lock
+// serializes the hot loop). One scratch serves any number of sequential
+// epochs; concurrent workers need one each.
 type epochScratch struct {
-	active *graph.CSRBuilder
-	stable *graph.CSRBuilder
+	build  *graph.CSRBuilder
+	snap   graph.Digraph // the active graph, then the stable graph
+	sub    graph.Digraph // the stable graph's Fig. 7B subgraph
+	random graph.RandomScratch
+	rng    *rand.Rand
 	cols   *trace.EpochColumns
 	days   map[int64]*daySets
 }
 
 func newEpochScratch() *epochScratch {
 	return &epochScratch{
-		active: graph.NewCSRBuilder(),
-		stable: graph.NewCSRBuilder(),
-		cols:   trace.NewEpochColumns(),
-		days:   make(map[int64]*daySets),
+		build: graph.NewCSRBuilder(),
+		cols:  trace.NewEpochColumns(),
+		days:  make(map[int64]*daySets),
 	}
+}
+
+// seeded returns the worker's RNG seeded with seed. The first call
+// creates it, so building a scratch, part of every runner's setup, does
+// not seed a source that no epoch may draw from.
+func (sc *epochScratch) seeded(seed int64) *rand.Rand {
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sc.rng.Seed(seed)
+	}
+	return sc.rng
 }
 
 // Analyze runs the full pipeline over a trace store. The returned Results
@@ -309,12 +325,12 @@ func foldDay(days map[int64]*daySets, v EpochView) {
 // close position pos. It is the shared per-epoch kernel: every driver —
 // the sealed-index pool, the single-pass stream, and the live analyzer's
 // EpochRunner — calls exactly this function, which is why their per-epoch
-// outputs can be byte-compared. The per-epoch RNG is derived from
-// (cfg.Seed, v.Epoch) alone, so one epoch's result is independent of
-// every other epoch.
+// outputs can be byte-compared. A heavy epoch re-seeds the worker's RNG
+// from (cfg.Seed, v.Epoch) alone, so one epoch's result is independent
+// of every other epoch. The graphs live in sc's arenas, so a warm
+// scratch allocates only the returned metrics.
 func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	db, cfg := k.db, k.cfg
-	rng := rand.New(rand.NewSource(cfg.Seed ^ v.Epoch*2654435761))
 	out := &EpochMetrics{
 		Epoch:     v.Epoch,
 		Start:     v.Start,
@@ -404,7 +420,7 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	// is computed straight off the active graph in one traversal — no
 	// subgraph is materialized.
 	graphSpan := cfg.Tracer.Start("active_graph")
-	ag := v.ActiveGraphInto(sc.active, cfg.ActiveThreshold)
+	ag := v.ActiveGraphInto(sc.build, &sc.snap, cfg.ActiveThreshold)
 	graphSpan.End()
 	recipSpan := cfg.Tracer.Start("reciprocity")
 	out.RawR = ag.Reciprocity()
@@ -427,17 +443,20 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	if pos%cfg.HeavyEveryN == 0 {
 		swSpan := cfg.Tracer.Start("small_world")
 		out.Heavy = true
-		sg := v.StableGraphInto(sc.stable, cfg.ActiveThreshold)
+		rng := sc.seeded(cfg.Seed ^ v.Epoch*2654435761)
+		// The active graph is not read again: the stable graph reuses
+		// its arena.
+		sg := v.StableGraphInto(sc.build, &sc.snap, cfg.ActiveThreshold)
 		out.C = sg.ClusteringCoefficient()
 		out.L = sg.AveragePathLength(rng, _pathSamples)
-		out.CRand, out.LRand = graph.RandomBaseline(sg, rng, _pathSamples)
+		out.CRand, out.LRand = sc.random.Baseline(sg, rng, _pathSamples)
 
-		sub := sg.InducedSubgraph(func(a isp.Addr) bool { return db.Lookup(a) == _ispFocus })
+		sub := sg.InducedSubgraphInto(sc.build, &sc.sub, func(a isp.Addr) bool { return db.Lookup(a) == _ispFocus })
 		if sub.N() >= 10 && sub.M() > 0 {
 			out.ISPGraphOK = true
 			out.CISP = sub.ClusteringCoefficient()
 			out.LISP = sub.AveragePathLength(rng, _pathSamples)
-			out.CRandISP, out.LRandISP = graph.RandomBaseline(sub, rng, _pathSamples)
+			out.CRandISP, out.LRandISP = sc.random.Baseline(sub, rng, _pathSamples)
 		}
 		swSpan.End()
 	}

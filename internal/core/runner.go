@@ -45,8 +45,14 @@ func columnsView(interval time.Duration, epoch int64, cols *trace.EpochColumns) 
 // results are identical for any worker count. The job channel is
 // unbuffered, so the sender runs at most one epoch ahead of the busy
 // workers.
+//
+// A worker hands a raw-report job's slice back on spent, cleared, once
+// it has built the epoch's columns, and the sender collects a later
+// epoch's reports in it. spent holds one slice per worker; a slice that
+// finds it full is left to the garbage collector.
 type pool struct {
 	jobs      chan *poolJob
+	spent     chan []trace.Report
 	sent      []*poolJob
 	scratches []*epochScratch
 	wg        sync.WaitGroup
@@ -54,7 +60,7 @@ type pool struct {
 
 // poolJob is one epoch on its way through the pool: an epoch of a sealed
 // index, or an epoch's raw reports in arrival order, which the worker
-// drops once it has built their columns.
+// hands back on spent once it has built their columns.
 type poolJob struct {
 	epoch   int64
 	pos     int
@@ -64,7 +70,11 @@ type poolJob struct {
 }
 
 func startPool(k *kernel) *pool {
-	p := &pool{jobs: make(chan *poolJob), scratches: make([]*epochScratch, k.cfg.Workers)}
+	p := &pool{
+		jobs:      make(chan *poolJob),
+		spent:     make(chan []trace.Report, k.cfg.Workers),
+		scratches: make([]*epochScratch, k.cfg.Workers),
+	}
 	for w := range p.scratches {
 		sc := newEpochScratch()
 		p.scratches[w] = sc
@@ -80,7 +90,14 @@ func startPool(k *kernel) *pool {
 					for i := range j.reports {
 						sc.cols.Add(j.reports[i])
 					}
-					j.reports = nil // the columns hold what the kernel needs
+					// The columns hold what the kernel needs. Clearing
+					// the slice unpins the reports' partner lists.
+					clear(j.reports)
+					select {
+					case p.spent <- j.reports[:0]:
+					default:
+					}
+					j.reports = nil
 					v = columnsView(k.interval, j.epoch, sc.cols)
 				}
 				j.out = k.run(v, j.pos, sc)

@@ -29,7 +29,8 @@ var _ ReportSource = (*trace.Reader)(nil)
 // closes, that goroutine validates its reports and sends it to the
 // kernel pool, which commits results in close order, so the output is
 // identical for any worker count. Memory holds the two open epochs plus
-// one epoch per worker.
+// one epoch per worker. A newly opened epoch collects its reports in a
+// slice the workers have handed back, when one is waiting.
 //
 // Differences from Analyze: the online policy applies (HeavyEveryN
 // defaults to the streaming cadence and the Fig. 4 fallback snapshots are
@@ -61,6 +62,12 @@ func AnalyzeStream(src ReportSource, db *isp.Database, cfg Config, interval time
 				return fmt.Errorf("core: stream: %w", err)
 			}
 			if held := epochs.Observe(0, rep.Time.UnixNano()/int64(interval), send); held != nil {
+				if *held == nil {
+					select {
+					case *held = <-p.spent:
+					default:
+					}
+				}
 				*held = append(*held, rep)
 			}
 		}

@@ -15,10 +15,10 @@ import (
 func packEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // CSRBuilder builds Digraphs through reusable scratch buffers — the
-// node-index map and the edge arrays survive Build and are recycled by
-// the next Reset, so constructing one snapshot graph per epoch costs a
-// handful of allocations (the immutable arrays the Digraph itself
-// retains) instead of re-growing maps and edge lists from scratch.
+// node-index map, the edge arrays and the degree counts survive a build
+// and are recycled by the next Reset. BuildInto refills a caller-owned
+// Digraph, so building one snapshot graph per epoch into the same
+// Digraph allocates nothing once both have grown to the largest epoch.
 //
 // Node numbering matches Builder exactly: nodes pre-registered by Reset
 // come first in the given order, then endpoints in order of first
@@ -33,8 +33,7 @@ type CSRBuilder struct {
 	edges []uint64
 
 	scratch []uint64 // scratch: radix.Sort's ping-pong buffer
-	outDeg  []int32
-	inDeg   []int32
+	deg     []int32  // scratch: Digraph.load's degree counts
 }
 
 // NewCSRBuilder returns an empty builder ready for Reset.
@@ -82,51 +81,49 @@ func (b *CSRBuilder) AddEdge(from, to isp.Addr) {
 	b.edges = append(b.edges, packEdge(u, v))
 }
 
-// Build finalizes the graph and leaves the builder's scratch ready for
-// the next Reset. The returned Digraph owns fresh arrays and does not
-// alias the builder.
-func (b *CSRBuilder) Build() *Digraph {
+// Build finalizes the graph into a fresh Digraph, which does not alias
+// the builder: BuildInto(new(Digraph)).
+func (b *CSRBuilder) Build() *Digraph { return b.BuildInto(new(Digraph)) }
+
+// BuildInto finalizes the graph into g and returns g, leaving the
+// builder's scratch ready for the next Reset. g's arrays are reused and
+// every graph, cache and scratch it held before is overwritten: the
+// result is valid until the next build into g. It does not alias the
+// builder, so the builder may go on to build into other Digraphs.
+func (b *CSRBuilder) BuildInto(g *Digraph) *Digraph {
 	b.edges = radix.Sort(b.edges, &b.scratch)
-	return buildCSR(slices.Clone(b.ids), slices.Compact(b.edges), b)
+	g.ids = append(g.ids[:0], b.ids...)
+	return g.load(slices.Compact(b.edges), &b.deg)
 }
 
-// buildCSR assembles a Digraph from ids and deduped packed edges sorted
-// by (from, to), using sc's degree scratch (sc may own edges).
-func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
-	n := len(ids)
-	m := len(edges)
+// load makes g the graph over its ids with the given deduplicated packed
+// edges, sorted by (from, to): it refills the adjacency in g's own arrays
+// and drops the lazy caches: the index map, which pipelines rarely
+// need, and the undirected view, whose arrays are kept. *deg is the
+// caller's degree scratch, grown as needed.
+func (g *Digraph) load(edges []uint64, deg *[]int32) *Digraph {
+	n, m := len(g.ids), len(edges)
+	g.m = m
+	g.idx, g.undOK = nil, false
 
-	if cap(sc.outDeg) < n {
-		sc.outDeg = make([]int32, n)
-		sc.inDeg = make([]int32, n)
-	}
-	outDeg := sc.outDeg[:n]
-	inDeg := sc.inDeg[:n]
-	for i := range outDeg {
-		outDeg[i], inDeg[i] = 0, 0
-	}
+	*deg = resize(*deg, 2*n)
+	clear(*deg)
+	outDeg, inDeg := (*deg)[:n], (*deg)[n:]
 	for _, e := range edges {
 		outDeg[e>>32]++
 		inDeg[uint32(e)]++
 	}
-
-	g := &Digraph{
-		ids: ids,
-		out: make([][]int32, n),
-		in:  make([][]int32, n),
-		m:   m,
-	}
+	g.out = resize(g.out, n)
+	g.in = resize(g.in, n)
+	g.adj = resize(g.adj, 2*m)
+	outFlat, inFlat := g.adj[:m], g.adj[m:]
 
 	// Out lists: edges are sorted by (from, to), so one flat array cut
 	// at the degree boundaries yields sorted adjacency.
-	outFlat := make([]int32, m)
 	off := 0
-	for i := 0; i < n; i++ {
-		d := int(outDeg[i])
-		if d > 0 {
-			g.out[i] = outFlat[off : off+d : off+d]
-		}
-		off += d
+	for i, d := range outDeg {
+		g.out[i] = cut(outFlat, off, int(d))
+		off += int(d)
 	}
 	for i, e := range edges {
 		outFlat[i] = int32(uint32(e))
@@ -135,15 +132,11 @@ func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
 	// In lists: cut a second flat array the same way, then scatter each
 	// edge's source into its target's list. Edges arrive in source order,
 	// so every list fills in ascending order with no second sort.
-	inFlat := make([]int32, m)
 	off = 0
-	for i := 0; i < n; i++ {
-		d := int(inDeg[i])
-		if d > 0 {
-			g.in[i] = inFlat[off : off+d : off+d]
-		}
+	for i, d := range inDeg {
+		g.in[i] = cut(inFlat, off, int(d))
 		inDeg[i] = int32(off) // from here on: node i's next free in-slot
-		off += d
+		off += int(d)
 	}
 	for _, e := range edges {
 		to := uint32(e)
@@ -151,4 +144,13 @@ func buildCSR(ids []isp.Addr, edges []uint64, sc *CSRBuilder) *Digraph {
 		inDeg[to]++
 	}
 	return g
+}
+
+// cut returns flat's d entries from off as one adjacency list, or nil
+// for an empty one.
+func cut(flat []int32, off, d int) []int32 {
+	if d == 0 {
+		return nil
+	}
+	return flat[off : off+d : off+d]
 }

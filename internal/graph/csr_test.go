@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -71,7 +72,7 @@ func TestCSRBuilderMatchesBuilder(t *testing.T) {
 
 func TestCSRBuilderReuseAcrossBuilds(t *testing.T) {
 	csr := NewCSRBuilder()
-	var prev *Digraph
+	var built, want []*Digraph
 	for _, seed := range []int64{10, 11, 12} {
 		edges := randomEdges(seed, 30, 150)
 		legacy := NewBuilder()
@@ -82,14 +83,116 @@ func TestCSRBuilderReuseAcrossBuilds(t *testing.T) {
 		for _, e := range edges {
 			csr.AddEdge(e[0], e[1])
 		}
-		g := csr.Build()
-		sameDigraph(t, g, legacy.Build())
-		if prev != nil && prev.N() > 0 {
-			// Built graphs own their arrays: a later Reset+Build must not
-			// scribble over an earlier result.
-			_ = prev.Out(0)
+		built = append(built, csr.Build())
+		want = append(want, legacy.Build())
+	}
+	// Built graphs own their arrays: a later Reset+Build must not
+	// scribble over an earlier result.
+	for i := range built {
+		sameDigraph(t, built[i], want[i])
+	}
+}
+
+// csrGraph builds a pseudo-random graph with n candidate nodes, up to m
+// edges and a few pre-registered nodes, which may stay isolated, into g.
+func csrGraph(b *CSRBuilder, g *Digraph, seed int64, n, m int) *Digraph {
+	b.Reset([]isp.Addr{isp.Addr(n + 1), 2, isp.Addr(n + 2)})
+	for _, e := range randomEdges(seed, n, m) {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.BuildInto(g)
+}
+
+// sameAccessors asserts that every accessor and metric of got reads
+// exactly as on want: adjacency, the lazy undirected view and address
+// index, and the metric kernels, with floats compared bit for bit.
+func sameAccessors(t *testing.T, got, want *Digraph) {
+	t.Helper()
+	sameDigraph(t, got, want)
+	if got.UndirectedM() != want.UndirectedM() {
+		t.Fatalf("UndirectedM = %d, want %d", got.UndirectedM(), want.UndirectedM())
+	}
+	for i := int32(0); i < int32(want.N()); i++ {
+		if !slices.Equal(got.Undirected(i), want.Undirected(i)) {
+			t.Fatalf("Undirected(%d) = %v, want %v", i, got.Undirected(i), want.Undirected(i))
 		}
-		prev = g
+	}
+	// Every address the test graphs use, present or not.
+	for a := isp.Addr(0); a < 256; a++ {
+		gi, gok := got.Index(a)
+		wi, wok := want.Index(a)
+		if gi != wi || gok != wok {
+			t.Fatalf("Index(%v) = %d, %v, want %d, %v", a, gi, gok, wi, wok)
+		}
+	}
+	bits := func(name string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	bits("ClusteringCoefficient", got.ClusteringCoefficient(), want.ClusteringCoefficient())
+	bits("AveragePathLength exact", got.AveragePathLength(nil, 0), want.AveragePathLength(nil, 0))
+	bits("AveragePathLength sampled",
+		got.AveragePathLength(rand.New(rand.NewSource(5)), 7),
+		want.AveragePathLength(rand.New(rand.NewSource(5)), 7))
+	bits("GarlaschelliLoffredo", got.GarlaschelliLoffredo(), want.GarlaschelliLoffredo())
+	pred := func(from, to isp.Addr) bool { return from < to }
+	gy, gn := got.PartitionReciprocity(pred)
+	wy, wn := want.PartitionReciprocity(pred)
+	if gy != wy || gn != wn {
+		t.Fatalf("PartitionReciprocity = %+v, %+v, want %+v, %+v", gy, gn, wy, wn)
+	}
+}
+
+// TestBuildIntoReusesArena fills every lazy cache and kernel scratch of
+// a Digraph, rebuilds a smaller or a larger graph into it, and checks
+// that nothing of the first graph shows through: the rebuilt arena
+// must read exactly as a fresh build.
+func TestBuildIntoReusesArena(t *testing.T) {
+	for _, size := range []struct {
+		name string
+		n, m int
+	}{{"smaller", 12, 40}, {"larger", 120, 1500}} {
+		t.Run(size.name, func(t *testing.T) {
+			b := NewCSRBuilder()
+			var arena Digraph
+			first := csrGraph(b, &arena, 1, 40, 300)
+			sameAccessors(t, first, csrGraph(NewCSRBuilder(), new(Digraph), 1, 40, 300))
+
+			got := csrGraph(b, &arena, 2, size.n, size.m)
+			if got != &arena {
+				t.Fatal("BuildInto did not return its argument")
+			}
+			sameAccessors(t, got, csrGraph(NewCSRBuilder(), new(Digraph), 2, size.n, size.m))
+		})
+	}
+}
+
+// TestInducedSubgraphIntoReusesArena rebuilds subgraphs of different
+// sizes into one arena through one builder and compares each with the
+// map-based reference.
+func TestInducedSubgraphIntoReusesArena(t *testing.T) {
+	g := csrGraph(NewCSRBuilder(), new(Digraph), 3, 80, 900)
+	b := NewCSRBuilder()
+	var arena Digraph
+	for _, mod := range []isp.Addr{2, 7, 3} {
+		keep := func(a isp.Addr) bool { return a%mod == 0 }
+		got := g.InducedSubgraphInto(b, &arena, keep)
+		ref := NewBuilder()
+		for i := int32(0); i < int32(g.N()); i++ {
+			if keep(g.Addr(i)) {
+				ref.AddNode(g.Addr(i))
+			}
+		}
+		for u := int32(0); u < int32(g.N()); u++ {
+			for _, v := range g.Out(u) {
+				if keep(g.Addr(u)) && keep(g.Addr(v)) {
+					ref.AddEdge(g.Addr(u), g.Addr(v))
+				}
+			}
+		}
+		sameAccessors(t, got, ref.Build())
 	}
 }
 

@@ -4,8 +4,8 @@
 // average path lengths, Erdős–Rényi baselines, and the edge-reciprocity
 // metrics (the raw fraction r and the Garlaschelli–Loffredo ρ).
 //
-// Graphs are immutable once built; all algorithms are deterministic given
-// a seeded random source.
+// A built graph does not change until something is built into it again;
+// all algorithms are deterministic given a seeded random source.
 package graph
 
 import (
@@ -14,21 +14,49 @@ import (
 	"github.com/magellan-p2p/magellan/internal/isp"
 )
 
-// Digraph is an immutable directed graph over peer addresses, stored as
-// sorted adjacency lists.
+// Digraph is a directed graph over peer addresses, stored as sorted
+// adjacency lists.
+//
+// A Digraph is also an arena. CSRBuilder.BuildInto and the Erdős–Rényi
+// draws of RandomScratch refill one in place, and the metric kernels keep
+// their scratch in it (clustering stamps, BFS words and sources, node
+// marks), so analyzing one graph per epoch through the same Digraph
+// allocates nothing once its arrays have grown. A graph built into a
+// Digraph is valid until the next build into it.
 //
 // The address→index map and the undirected adjacency are built lazily on
-// first use (from a single goroutine; concurrent readers must touch them
-// once before sharing the graph, as the analysis pipeline does).
+// first use. Those caches and the kernels' scratch are written by the
+// methods that read them, so a Digraph is not safe for concurrent use.
 type Digraph struct {
 	ids []isp.Addr
-	idx map[isp.Addr]int32 // lazily built by ensureIdx when nil
 	out [][]int32
 	in  [][]int32
+	adj []int32 // backs out (the first m entries) and in (the last m)
 	m   int
 
-	und  [][]int32 // lazily built undirected adjacency (union of in/out)
-	undM int       // undirected edge count, memoized with und
+	idx map[isp.Addr]int32 // lazily built by ensureIdx when nil
+
+	und    [][]int32 // lazily built undirected adjacency (union of in/out)
+	undAdj []int32   // backs und
+	undM   int       // undirected edge count, memoized with und
+	undOK  bool      // und and undM describe the current graph
+
+	stamp   []int32  // ClusteringCoefficient's neighbour stamps
+	sources []int32  // AveragePathLength's BFS sources
+	words   []uint64 // AveragePathLength's seen/frontier/next words
+	marks   []bool   // node marks of PartitionReciprocity and InducedSubgraph
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The elements' values are unspecified. An array too short is
+// replaced by one of capacity max(n, 2·cap(s)): a fresh arena gets
+// exactly n, and one reused over ever larger graphs regrows O(log n)
+// times.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // Builder accumulates nodes and edges for a Digraph. Duplicate edges and
@@ -42,17 +70,6 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	return &Builder{idx: make(map[isp.Addr]int32)}
-}
-
-// NewBuilderSized returns an empty builder with capacity for the given
-// node and edge counts, so subgraph extraction from a parent of known
-// size does not re-grow its backing arrays.
-func NewBuilderSized(nodes, edges int) *Builder {
-	return &Builder{
-		idx:   make(map[isp.Addr]int32, nodes),
-		ids:   make([]isp.Addr, 0, nodes),
-		edges: make([][2]int32, 0, edges),
-	}
 }
 
 // AddNode registers an isolated node (a peer with no active links still
@@ -175,13 +192,13 @@ func (g *Digraph) UndirectedM() int {
 }
 
 func (g *Digraph) buildUndirected() {
-	if g.und != nil {
+	if g.undOK {
 		return
 	}
 	// One flat array backs every list: a node's neighbours are at most
 	// its in- plus out-degree, 2m in total, so the appends never grow it.
-	flat := make([]int32, 0, 2*g.m)
-	g.und = make([][]int32, len(g.ids))
+	flat := resize(g.undAdj, 2*g.m)[:0]
+	g.und = resize(g.und, len(g.ids))
 	for i := range g.ids {
 		a, b := g.out[i], g.in[i]
 		start := len(flat)
@@ -204,46 +221,49 @@ func (g *Digraph) buildUndirected() {
 		flat = append(flat, b[y:]...)
 		g.und[i] = flat[start:len(flat):len(flat)]
 	}
-	g.undM = len(flat) / 2
+	g.undAdj, g.undM, g.undOK = flat, len(flat)/2, true
 }
 
 // InducedSubgraph keeps the nodes for which keep returns true and every
 // edge between two kept nodes — e.g. the stable peers of one ISP.
 func (g *Digraph) InducedSubgraph(keep func(isp.Addr) bool) *Digraph {
-	kept := make([]bool, g.N())
-	nKept := 0
+	return g.InducedSubgraphInto(NewCSRBuilder(), new(Digraph), keep)
+}
+
+// InducedSubgraphInto is InducedSubgraph built into dst through b, whose
+// scratch a per-worker pipeline reuses; b is Reset first. dst must not be
+// g. Kept nodes keep their relative order, so the subgraph numbers them
+// as g does.
+func (g *Digraph) InducedSubgraphInto(b *CSRBuilder, dst *Digraph, keep func(isp.Addr) bool) *Digraph {
+	g.marks = resize(g.marks, g.N())
+	kept := g.marks
+	b.Reset(nil)
 	for i, a := range g.ids {
-		if keep(a) {
-			kept[i] = true
-			nKept++
-		}
-	}
-	b := NewBuilderSized(nKept, g.m)
-	for i, a := range g.ids {
+		kept[i] = keep(a)
 		if kept[i] {
 			b.AddNode(a)
 		}
 	}
-	for u := range g.out {
+	for u, out := range g.out {
 		if !kept[u] {
 			continue
 		}
-		for _, v := range g.out[u] {
+		for _, v := range out {
 			if kept[v] {
 				b.AddEdge(g.ids[u], g.ids[v])
 			}
 		}
 	}
-	return b.Build()
+	return b.BuildInto(dst)
 }
 
 // EdgeSubgraph keeps the edges for which keep returns true, plus their
 // incident nodes — e.g. "links among peers in the same ISP and their
 // incident peers" (Sec. 4.4).
 func (g *Digraph) EdgeSubgraph(keep func(from, to isp.Addr) bool) *Digraph {
-	b := NewBuilderSized(g.N(), g.m)
-	for u := range g.out {
-		for _, v := range g.out[u] {
+	b := NewCSRBuilder()
+	for u, out := range g.out {
+		for _, v := range out {
 			if keep(g.ids[u], g.ids[v]) {
 				b.AddEdge(g.ids[u], g.ids[v])
 			}

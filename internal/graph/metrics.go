@@ -48,7 +48,8 @@ func (g *Digraph) ClusteringCoefficient() float64 {
 	// O(Σ k² log d) pairwise binary searches. links is an exact integer
 	// either way, so the per-node float terms — and their accumulation
 	// order — are unchanged.
-	stamp := make([]int32, len(g.und))
+	g.stamp = resize(g.stamp, len(g.und))
+	stamp := g.stamp
 	for i := range stamp {
 		stamp[i] = -1
 	}
@@ -103,7 +104,8 @@ func (g *Digraph) AveragePathLength(rng *rand.Rand, samples int) float64 {
 	if n < 2 {
 		return 0
 	}
-	sources := make([]int32, n)
+	g.sources = resize(g.sources, n)
+	sources := g.sources
 	for i := range sources {
 		sources[i] = int32(i)
 	}
@@ -116,7 +118,8 @@ func (g *Digraph) AveragePathLength(rng *rand.Rand, samples int) float64 {
 	}
 
 	g.buildUndirected()
-	words := make([]uint64, 3*n)
+	g.words = resize(g.words, 3*n)
+	words := g.words
 	seen, frontier, next := words[:n:n], words[n:2*n:2*n], words[2*n:]
 	var sum, pairs int64
 	for len(sources) > 0 {
@@ -220,8 +223,9 @@ func (s SubgraphStats) GarlaschelliLoffredo() float64 {
 // and two incidence bitmaps. This is all the Fig. 8 intra-/inter-ISP
 // reciprocity needs per epoch.
 func (g *Digraph) PartitionReciprocity(pred func(from, to isp.Addr) bool) (yes, no SubgraphStats) {
-	inYes := make([]bool, g.N())
-	inNo := make([]bool, g.N())
+	g.marks = resize(g.marks, 2*g.N())
+	clear(g.marks)
+	inYes, inNo := g.marks[:g.N()], g.marks[g.N():]
 	for u := range g.out {
 		o, in := g.out[u], g.in[u]
 		j := 0

@@ -14,34 +14,8 @@ import (
 // "corresponding random graph" the paper compares every topology against:
 // same number of vertices and edges, no structure.
 func ErdosRenyiGM(n, m int, rng *rand.Rand) *Digraph {
-	// Synthetic addresses 1..n keep node identity simple; node i's index
-	// is i−1, so drawn index pairs are final and the CSR arrays can be
-	// assembled directly — no per-edge map registration.
-	ids := make([]isp.Addr, n)
-	for i := range ids {
-		ids[i] = isp.Addr(i + 1)
-	}
-	maxEdges := int64(n) * int64(n-1)
-	if int64(m) > maxEdges {
-		m = int(maxEdges)
-	}
-	seen := make(map[uint64]struct{}, m)
-	edges := make([]uint64, 0, m)
-	for len(seen) < m {
-		u := int32(rng.Intn(n))
-		v := int32(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		e := packEdge(u, v)
-		if _, dup := seen[e]; dup {
-			continue
-		}
-		seen[e] = struct{}{}
-		edges = append(edges, e)
-	}
-	b := new(CSRBuilder)
-	return buildCSR(ids, radix.Sort(edges, &b.scratch), b)
+	var s RandomScratch
+	return s.gnm(new(Digraph), n, m, rng)
 }
 
 // RandomBaseline measures the clustering coefficient and average path
@@ -49,8 +23,63 @@ func ErdosRenyiGM(n, m int, rng *rand.Rand) *Digraph {
 // the exact comparison of Fig. 7. pathSamples limits the BFS sources (≤ 0
 // means exact).
 func RandomBaseline(g *Digraph, rng *rand.Rand, pathSamples int) (c, l float64) {
-	r := ErdosRenyiGM(g.N(), g.M(), rng)
+	return new(RandomScratch).Baseline(g, rng, pathSamples)
+}
+
+// RandomScratch keeps what an Erdős–Rényi draw needs between draws — the
+// dedup set, the edge buffer, the radix and degree scratch, and the graph
+// itself — so a pipeline that measures a random baseline every epoch
+// reuses them. The zero value is ready for use. Not safe for concurrent
+// use.
+type RandomScratch struct {
+	seen    map[uint64]struct{}
+	edges   []uint64
+	scratch []uint64 // radix.Sort's ping-pong buffer
+	deg     []int32  // Digraph.load's degree counts
+	g       Digraph
+}
+
+// Baseline is RandomBaseline through s: the random graph is drawn into
+// s's own Digraph, which the next Baseline overwrites.
+func (s *RandomScratch) Baseline(g *Digraph, rng *rand.Rand, pathSamples int) (c, l float64) {
+	r := s.gnm(&s.g, g.N(), g.M(), rng)
 	return r.ClusteringCoefficient(), r.AveragePathLength(rng, pathSamples)
+}
+
+// gnm draws G(n, m) into g.
+func (s *RandomScratch) gnm(g *Digraph, n, m int, rng *rand.Rand) *Digraph {
+	// Synthetic addresses 1..n keep node identity simple; node i's index
+	// is i−1, so drawn index pairs are final and the CSR arrays can be
+	// assembled directly — no per-edge map registration.
+	g.ids = resize(g.ids, n)
+	for i := range g.ids {
+		g.ids[i] = isp.Addr(i + 1)
+	}
+	maxEdges := int64(n) * int64(n-1)
+	if int64(m) > maxEdges {
+		m = int(maxEdges)
+	}
+	if s.seen == nil {
+		s.seen = make(map[uint64]struct{}, m)
+	} else {
+		clear(s.seen)
+	}
+	edges := resize(s.edges, m)[:0]
+	for len(s.seen) < m {
+		u := int32(rng.Intn(n))
+		v := int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		e := packEdge(u, v)
+		if _, dup := s.seen[e]; dup {
+			continue
+		}
+		s.seen[e] = struct{}{}
+		edges = append(edges, e)
+	}
+	s.edges = radix.Sort(edges, &s.scratch)
+	return g.load(s.edges, &s.deg)
 }
 
 // TheoreticalRandomClustering is the analytic E[C] of a random graph:

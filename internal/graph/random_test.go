@@ -48,6 +48,27 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomScratchMatchesFresh measures one scratch's baselines over a
+// run of graphs of different sizes and checks each (C, L) bit for bit
+// against a fresh RandomBaseline with the same seed, and the RNG's next
+// draw: a recycled dedup set, edge buffer or graph changes neither.
+func TestRandomScratchMatchesFresh(t *testing.T) {
+	var s RandomScratch
+	for i, size := range []struct{ n, m int }{{200, 1500}, {30, 90}, {500, 6000}, {5, 100}, {80, 400}} {
+		g := ErdosRenyiGM(size.n, size.m, rand.New(rand.NewSource(int64(i))))
+		seed := int64(100 + i)
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		gotC, gotL := s.Baseline(g, gotRng, 64)
+		wantC, wantL := RandomBaseline(g, wantRng, 64)
+		if math.Float64bits(gotC) != math.Float64bits(wantC) || math.Float64bits(gotL) != math.Float64bits(wantL) {
+			t.Fatalf("graph %d (n=%d): scratch (C, L) = (%v, %v), fresh (%v, %v)", i, size.n, gotC, gotL, wantC, wantL)
+		}
+		if a, b := gotRng.Int63(), wantRng.Int63(); a != b {
+			t.Fatalf("graph %d: next rng draw %d, fresh %d", i, a, b)
+		}
+	}
+}
+
 func TestErdosRenyiClusteringMatchesDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, m := 600, 6000

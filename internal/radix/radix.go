@@ -23,7 +23,9 @@ const smallSort = 128
 // byte position at once, then one scatter pass per byte position that
 // varies between keys (a byte every key shares, such as the zero high
 // bytes of small node indices, needs none), ping-ponging between keys and
-// *scratch, which is grown to len(keys) as needed.
+// *scratch. A scratch shorter than keys is replaced by one of len(keys)
+// or twice its old capacity, whichever is larger, so a caller sorting
+// ever longer inputs through one scratch regrows it O(log n) times.
 //
 // The sorted keys end in either backing array. When they end in the
 // scratch array, Sort hands keys' old array back through *scratch, so a
@@ -58,7 +60,7 @@ func Sort[K Key](keys []K, scratch *[]K) []K {
 		}
 	}
 	if cap(*scratch) < n {
-		*scratch = make([]K, n)
+		*scratch = make([]K, n, max(n, 2*cap(*scratch)))
 	}
 	src, dst := keys, (*scratch)[:n]
 	for d := 0; d < digits; d++ {

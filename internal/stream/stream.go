@@ -247,7 +247,10 @@ func (e *Exchange) Tick(tab *protocol.Table, peers []*protocol.Peer, dt time.Dur
 	// advertised shares, depths). Results land in per-position slots.
 	n := len(e.order)
 	for len(e.perRecv) < n {
-		e.perRecv = append(e.perRecv, nil)
+		// collectInto adds at most one request per ranked supplier, and
+		// RankSuppliers returns at most TargetActive, so no position's
+		// buffer ever regrows.
+		e.perRecv = append(e.perRecv, make([]request, 0, protocol.TargetActive))
 	}
 	e.parallel(n, collectPhase)
 
@@ -305,7 +308,12 @@ func (e *Exchange) groupBySupplier(n, capHandles int) {
 		total, e.cursor[h] = total+e.cursor[h], total
 	}
 	e.supStart = append(e.supStart, total)
-	e.grants = slices.Grow(e.grants[:0], int(total))[:total]
+	if cap(e.grants) < int(total) {
+		// Double: the population ramps up, and append-sized steps would
+		// regrow the array many times over.
+		e.grants = make([]grantReq, total, max(int(total), 2*cap(e.grants)))
+	}
+	e.grants = e.grants[:total]
 	for i, reqs := range e.perRecv[:n] {
 		recv, id := e.order[i].Handle(), e.order[i].ID()
 		for _, rq := range reqs {

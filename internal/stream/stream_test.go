@@ -346,10 +346,10 @@ func TestExchangeTickZeroAllocs(t *testing.T) {
 	tab, peers := buildSwarm(252, 20, 5) // 252 peers and 4 servers
 	e := NewExchange(Config{Shards: 1}, rand.New(rand.NewSource(3)))
 	tick := func() { e.Tick(tab, peers, time.Minute) }
-	// Warm the scratch: a shuffled position's request buffer grows
-	// whenever a receiver with more suppliers than it held lands on it,
-	// which here stops after 17 ticks.
-	for i := 0; i < 40; i++ {
+	// Warm the scratch. Each position's request buffer is created at
+	// its final capacity, TargetActive, and the grant array doubles when
+	// it must grow, so the swarm allocates nothing from its fourth tick on.
+	for i := 0; i < 4; i++ {
 		tick()
 	}
 	if allocs := testing.AllocsPerRun(50, tick); allocs != 0 {
