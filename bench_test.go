@@ -270,7 +270,7 @@ func BenchmarkFig7BSmallWorldNetcom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		g := v.StableGraph(core.DefaultActiveThreshold)
-		sub := g.InducedSubgraph(func(a isp.Addr) bool { return e.db.Lookup(a) == isp.ChinaNetcom })
+		sub := g.InducedSubgraph(func(i int32) bool { return e.db.Lookup(g.Addr(i)) == isp.ChinaNetcom })
 		_ = sub.ClusteringCoefficient()
 		_ = sub.AveragePathLength(rng, 64)
 	}

@@ -112,37 +112,66 @@ func (v EpochView) ActiveEdges(threshold uint32, add func(from, to isp.Addr)) {
 // present even when isolated. This is the graph of the reciprocity
 // analysis (Sec. 4.4).
 func (v EpochView) ActiveGraph(threshold uint32) *graph.Digraph {
-	return v.ActiveGraphInto(graph.NewCSRBuilder(), new(graph.Digraph), threshold)
+	return v.activeGraphInto(graph.NewCSRBuilder(), new(graph.Digraph), threshold, nil)
 }
 
-// ActiveGraphInto is ActiveGraph built into g through b. Both keep their
-// buffers across epochs; the graph is valid until the next build into g.
-func (v EpochView) ActiveGraphInto(b *graph.CSRBuilder, g *graph.Digraph, threshold uint32) *graph.Digraph {
+// activeGraphInto is ActiveGraph built into g through b, which both keep
+// their buffers across epochs; the graph is valid until the next build
+// into g or cut of it. Unless ends is nil, it also sets *ends, reusing
+// its array, to the node of each active partner entry in scan order
+// (reporter order, then partner order), so a caller that scans those
+// entries again reads each one's node instead of resolving its address
+// a second time.
+//
+// Reset numbers the sorted reporters 0…R−1, so an edge's reporter end is
+// its row index and only the partner end costs an address resolution,
+// one per active entry. The partner is registered at its first active
+// entry, as ActiveEdges feeding AddEdge would register it: nodes are
+// numbered reporters first, then in order of first appearance. A partner
+// entry naming its own reporter resolves to the reporter and adds no
+// edge.
+func (v EpochView) activeGraphInto(b *graph.CSRBuilder, g *graph.Digraph, threshold uint32, ends *[]int32) *graph.Digraph {
 	b.Reset(v.addrs)
-	v.ActiveEdges(threshold, func(from, to isp.Addr) { b.AddEdge(from, to) })
+	var col []int32
+	if ends != nil {
+		col = (*ends)[:0]
+	}
+	for i := range v.reports {
+		rep := &v.reports[i]
+		self := int32(i)
+		for _, p := range rep.Partners {
+			supplied, received := p.RecvSeg > threshold, p.SentSeg > threshold
+			if !supplied && !received {
+				continue
+			}
+			j := self
+			if p.Addr != rep.Addr {
+				j = b.AddNode(p.Addr)
+			}
+			if ends != nil {
+				col = append(col, j)
+			}
+			if supplied {
+				b.AddIndexEdge(j, self) // partner supplied this peer
+			}
+			if received {
+				b.AddIndexEdge(self, j) // this peer supplied the partner
+			}
+		}
+	}
+	if ends != nil {
+		*ends = col
+	}
 	return b.BuildInto(g)
 }
 
 // StableGraph builds the directed graph induced on stable peers: "only
 // including the stable peers and the active links among them"
-// (Sec. 4.3). This is the graph of the small-world analysis.
+// (Sec. 4.3). This is the graph of the small-world analysis. The active
+// graph numbers the reporters first and keeps sorted lists, so the
+// stable graph is its reporter prefix.
 func (v EpochView) StableGraph(threshold uint32) *graph.Digraph {
-	return v.StableGraphInto(graph.NewCSRBuilder(), new(graph.Digraph), threshold)
-}
-
-// StableGraphInto is StableGraph built into g through b. Both keep their
-// buffers across epochs; the graph is valid until the next build into g.
-func (v EpochView) StableGraphInto(b *graph.CSRBuilder, g *graph.Digraph, threshold uint32) *graph.Digraph {
-	b.Reset(v.addrs)
-	// After Reset the builder contains exactly the stable peers, and
-	// edges between two stable peers never register new nodes, so
-	// membership doubles as the stable-peer filter.
-	v.ActiveEdges(threshold, func(from, to isp.Addr) {
-		if b.Contains(from) && b.Contains(to) {
-			b.AddEdge(from, to)
-		}
-	})
-	return b.BuildInto(g)
+	return v.ActiveGraph(threshold).KeepPrefix(v.StableCount())
 }
 
 // PeerDegrees summarizes one stable peer's partner list: total partners,

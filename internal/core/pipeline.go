@@ -12,6 +12,7 @@ import (
 	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/metrics"
 	"github.com/magellan-p2p/magellan/internal/obs"
+	"github.com/magellan-p2p/magellan/internal/radix"
 	"github.com/magellan-p2p/magellan/internal/trace"
 	"github.com/magellan-p2p/magellan/internal/workload"
 )
@@ -207,27 +208,29 @@ type EpochMetrics struct {
 
 // epochScratch is the per-worker reusable state: the graph builder
 // whose index map and edge arrays survive from epoch to epoch, the graph
-// arenas the kernel builds each epoch's graphs into, the random-baseline
-// scratch, the RNG each heavy epoch re-seeds, the column builder for
-// epochs sent as raw reports, and the worker's shard of the Fig. 1B
-// day-distinct fold (merged after the pool drains, so no lock
-// serializes the hot loop). One scratch serves any number of sequential
-// epochs; concurrent workers need one each.
+// arenas the kernel builds each epoch's graphs into, the epoch's node
+// columns, the random-baseline scratch, the RNG each heavy epoch
+// re-seeds, the column builder for epochs sent as raw reports, and the
+// worker's shard of the Fig. 1B day-distinct fold (merged after the pool
+// drains, so no lock serializes the hot loop). One scratch serves any
+// number of sequential epochs; concurrent workers need one each.
 type epochScratch struct {
 	build  *graph.CSRBuilder
-	snap   graph.Digraph // the active graph, then the stable graph
+	snap   graph.Digraph // the active graph, cut to the stable graph on a heavy epoch
 	sub    graph.Digraph // the stable graph's Fig. 7B subgraph
+	ends   []int32       // the node of each active partner entry, in scan order
+	isps   []isp.ISP     // each active-graph node's ISP, by node index
 	random graph.RandomScratch
 	rng    *rand.Rand
 	cols   *trace.EpochColumns
-	days   map[int64]*daySets
+	days   []daySets  // one per trace day the worker has seen, in first-seen order
+	sort   []isp.Addr // radix scratch of the day buffers
 }
 
 func newEpochScratch() *epochScratch {
 	return &epochScratch{
 		build: graph.NewCSRBuilder(),
 		cols:  trace.NewEpochColumns(),
-		days:  make(map[int64]*daySets),
 	}
 }
 
@@ -275,50 +278,111 @@ func Analyze(store *trace.Store, db *isp.Database, cfg Config) (*Results, error)
 	return assemble(ix.Interval(), cfg, specs, outs, days)
 }
 
-// mergeDays unions the workers' shards of the day-distinct sets. Set
-// union commutes, so shard and map iteration order cannot leak into the
-// merged counts.
-func mergeDays(tr obs.Tracer, scratches []*epochScratch) map[int64]*daySets {
-	sp := tr.Start("merge_days")
-	defer sp.End()
-	days := make(map[int64]*daySets)
-	for _, sc := range scratches {
-		for k, ds := range sc.days {
-			dst, ok := days[k]
-			if !ok {
-				days[k] = ds
-				continue
-			}
-			for a := range ds.total {
-				dst.total[a] = struct{}{}
-			}
-			for a := range ds.stable {
-				dst.stable[a] = struct{}{}
-			}
-		}
+// daySets accumulates one trace day's distinct addresses: every visible
+// peer's in sets[0], the reporters' in sets[1].
+type daySets struct {
+	key  int64 // the day's local midnight, in Unix seconds
+	sets [2]dayAddrs
+}
+
+// dayAddrs collects the distinct addresses of one day without a map:
+// each epoch's sorted column is appended, and whenever the buffer
+// reaches twice its length after the last compaction it is radix-sorted
+// and compacted, so it holds at most about twice the day's distinct
+// count plus one epoch's column.
+type dayAddrs struct {
+	addrs []isp.Addr
+	kept  int // len(addrs) after the last compaction
+}
+
+func (d *dayAddrs) add(col []isp.Addr, scratch *[]isp.Addr) {
+	d.addrs = append(reserve(d.addrs, len(col)), col...)
+	if len(d.addrs) >= 2*d.kept {
+		d.addrs = compactAddrs(d.addrs, scratch)
+		d.kept = len(d.addrs)
 	}
-	return days
+}
+
+// compactAddrs sorts and deduplicates s in its own array. radix.Sort may
+// leave the keys in the scratch array and hand s's array back as the
+// scratch; they are then copied home, so the scratch keeps the larger
+// array and the buffers one worker compacts through it never trade
+// arrays.
+func compactAddrs(s []isp.Addr, scratch *[]isp.Addr) []isp.Addr {
+	if sorted := radix.Sort(s, scratch); len(s) > 0 && &sorted[0] != &s[0] {
+		copy(s, sorted)
+		*scratch = sorted[:0]
+	}
+	return slices.Compact(s)
+}
+
+// reserve returns s with room for n more elements. An array too short is
+// replaced by one of twice its capacity, or of the length needed if that
+// is more, so a buffer that starts empty every pass regrows O(log n)
+// times and allocates about twice its final size, not the five times
+// append's gentler growth of long slices costs.
+func reserve[T any](s []T, n int) []T {
+	if need := len(s) + n; need > cap(s) {
+		return append(make([]T, 0, max(need, 2*cap(s))), s...)
+	}
+	return s
 }
 
 // foldDay adds one epoch's populations to its trace day's distinct sets.
-func foldDay(days map[int64]*daySets, v EpochView) {
+func (sc *epochScratch) foldDay(v EpochView) {
 	local := v.Start.In(workload.Beijing)
-	day := time.Date(local.Year(), local.Month(), local.Day(), 0, 0, 0, 0, workload.Beijing)
-	key := day.Unix()
-	ds, ok := days[key]
-	if !ok {
-		ds = &daySets{
-			total:  make(map[isp.Addr]struct{}),
-			stable: make(map[isp.Addr]struct{}),
+	key := time.Date(local.Year(), local.Month(), local.Day(), 0, 0, 0, 0, workload.Beijing).Unix()
+	ds := sc.day(key)
+	if ds == nil {
+		sc.days = append(sc.days, daySets{key: key})
+		ds = &sc.days[len(sc.days)-1]
+	}
+	ds.sets[0].add(v.AllPeers(), &sc.sort)
+	ds.sets[1].add(v.Reporters(), &sc.sort)
+}
+
+// day returns the worker's sets for a day, or nil. Epochs reach a worker
+// in ascending order, so the day is almost always the last one.
+func (sc *epochScratch) day(key int64) *daySets {
+	for i := len(sc.days) - 1; i >= 0; i-- {
+		if sc.days[i].key == key {
+			return &sc.days[i]
 		}
-		days[key] = ds
 	}
-	for _, a := range v.AllPeers() {
-		ds.total[a] = struct{}{}
+	return nil
+}
+
+// mergeDays counts each day's distinct addresses over every worker's
+// shard: it concatenates the shards' buffers for the day and compacts
+// them once. Union commutes, so shard order cannot leak into the counts,
+// which come out in day order.
+func mergeDays(tr obs.Tracer, scratches []*epochScratch) []DayCount {
+	sp := tr.Start("merge_days")
+	defer sp.End()
+	var keys []int64
+	for _, sc := range scratches {
+		for i := range sc.days {
+			keys = append(keys, sc.days[i].key)
+		}
 	}
-	for _, a := range v.Reporters() {
-		ds.stable[a] = struct{}{}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	days := make([]DayCount, len(keys))
+	var buf, scratch []isp.Addr
+	for i, k := range keys {
+		var n [2]int // the day's distinct total and stable counts
+		for s := range n {
+			buf = buf[:0]
+			for _, sc := range scratches {
+				if ds := sc.day(k); ds != nil {
+					buf = append(reserve(buf, len(ds.sets[s].addrs)), ds.sets[s].addrs...)
+				}
+			}
+			n[s] = len(compactAddrs(buf, &scratch))
+		}
+		days[i] = DayCount{Day: time.Unix(k, 0).In(workload.Beijing), Total: n[0], Stable: n[1]}
 	}
+	return days
 }
 
 // run computes everything the figures need from the snapshot at send or
@@ -331,6 +395,7 @@ func foldDay(days map[int64]*daySets, v EpochView) {
 // scratch allocates only the returned metrics.
 func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	db, cfg := k.db, k.cfg
+	thr := cfg.ActiveThreshold
 	out := &EpochMetrics{
 		Epoch:     v.Epoch,
 		Start:     v.Start,
@@ -338,6 +403,14 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		ISPCounts: make(map[isp.ISP]int, isp.NumISPs),
 		Quality:   make(map[string][2]int, len(_qualityChannels)),
 	}
+
+	// The active graph first: its node indices are the space the rest of
+	// the epoch works in. Reporters are nodes 0…R−1, ends holds the node
+	// of every active partner entry, and the stable graph is the
+	// reporter prefix.
+	graphSpan := cfg.Tracer.Start("active_graph")
+	ag := v.activeGraphInto(sc.build, &sc.snap, thr, &sc.ends)
+	graphSpan.End()
 
 	scanSpan := cfg.Tracer.Start("epoch_scan")
 
@@ -352,6 +425,14 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		}
 		out.ISPCounts[p]++
 	}
+
+	// Each node's ISP, looked up once: the intra-ISP fractions, the
+	// reciprocity split and the Netcom subgraph all read this column.
+	sc.isps = sc.isps[:0]
+	for i := range ag.N() {
+		sc.isps = append(sc.isps, db.Lookup(ag.Addr(int32(i))))
+	}
+	nodeISP := sc.isps
 
 	// Streaming quality per channel (Fig. 3).
 	reports := v.Reports()
@@ -368,30 +449,38 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		out.Quality[rep.Channel] = sv
 	}
 
-	// Degree means and intra-ISP fractions over stable peers.
+	// Degree means and intra-ISP fractions over stable peers. Only an
+	// active partner entry can count toward a fraction, and each
+	// reporter's active entries are the next ones in ends.
 	var sumP, sumIn, sumOut float64
 	var fracIn, fracOut float64
 	nIn, nOut := 0, 0
+	ends := sc.ends
 	for i := range reports {
 		rep := &reports[i]
-		d := Degrees(rep, cfg.ActiveThreshold)
+		d := Degrees(rep, thr)
 		sumP += float64(d.Partners)
 		sumIn += float64(d.In)
 		sumOut += float64(d.Out)
 
-		self := db.Lookup(rep.Addr)
-		if self == isp.Unknown {
-			continue
-		}
+		self := nodeISP[i]
 		intraIn, intraOut := 0, 0
 		for _, p := range rep.Partners {
-			same := db.Lookup(p.Addr) == self
-			if p.RecvSeg > cfg.ActiveThreshold && same {
-				intraIn++
+			if p.RecvSeg <= thr && p.SentSeg <= thr {
+				continue
 			}
-			if p.SentSeg > cfg.ActiveThreshold && same {
-				intraOut++
+			if nodeISP[ends[0]] == self {
+				if p.RecvSeg > thr {
+					intraIn++
+				}
+				if p.SentSeg > thr {
+					intraOut++
+				}
 			}
+			ends = ends[1:]
+		}
+		if self == isp.Unknown {
+			continue
 		}
 		if d.In > 0 {
 			fracIn += float64(intraIn) / float64(d.In)
@@ -415,19 +504,16 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	}
 	scanSpan.End()
 
-	// Reciprocity over all active links (Fig. 8). The intra- and
-	// inter-ISP split needs only node, edge, and bilateral counts, so it
-	// is computed straight off the active graph in one traversal — no
-	// subgraph is materialized.
-	graphSpan := cfg.Tracer.Start("active_graph")
-	ag := v.ActiveGraphInto(sc.build, &sc.snap, cfg.ActiveThreshold)
-	graphSpan.End()
+	// Reciprocity over all active links (Fig. 8): r and ρ from one count
+	// of bilateral edges. The intra- and inter-ISP split needs only node,
+	// edge, and bilateral counts, so it is computed straight off the
+	// active graph in one traversal — no subgraph is materialized.
 	recipSpan := cfg.Tracer.Start("reciprocity")
-	out.RawR = ag.Reciprocity()
-	out.RhoAll = ag.GarlaschelliLoffredo()
-	intra, inter := ag.PartitionReciprocity(func(a, b isp.Addr) bool {
-		pa, pb := db.Lookup(a), db.Lookup(b)
-		return pa != isp.Unknown && pa == pb
+	rs := ag.ReciprocityStats()
+	out.RawR, out.RhoAll = rs.R(), rs.GarlaschelliLoffredo()
+	intra, inter := ag.PartitionReciprocity(func(u, v int32) bool {
+		pu := nodeISP[u]
+		return pu != isp.Unknown && pu == nodeISP[v]
 	})
 	out.RhoIntra, out.RhoInter = math.NaN(), math.NaN()
 	if intra.M > 0 {
@@ -444,14 +530,16 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 		swSpan := cfg.Tracer.Start("small_world")
 		out.Heavy = true
 		rng := sc.seeded(cfg.Seed ^ v.Epoch*2654435761)
-		// The active graph is not read again: the stable graph reuses
-		// its arena.
-		sg := v.StableGraphInto(sc.build, &sc.snap, cfg.ActiveThreshold)
+		// The stable graph is the active graph's reporter prefix, cut in
+		// place: from here on the active graph is gone, and its arena
+		// holds the stable graph. Node indices below R are unchanged, so
+		// the ISP column still applies.
+		sg := ag.KeepPrefix(out.Stable)
 		out.C = sg.ClusteringCoefficient()
 		out.L = sg.AveragePathLength(rng, _pathSamples)
 		out.CRand, out.LRand = sc.random.Baseline(sg, rng, _pathSamples)
 
-		sub := sg.InducedSubgraphInto(sc.build, &sc.sub, func(a isp.Addr) bool { return db.Lookup(a) == _ispFocus })
+		sub := sg.InducedSubgraphInto(&sc.sub, func(i int32) bool { return nodeISP[i] == _ispFocus })
 		if sub.N() >= 10 && sub.M() > 0 {
 			out.ISPGraphOK = true
 			out.CISP = sub.ClusteringCoefficient()
@@ -487,14 +575,8 @@ func (k *kernel) run(v EpochView, pos int, sc *epochScratch) *EpochMetrics {
 	return out
 }
 
-// daySets accumulates one trace day's distinct addresses.
-type daySets struct {
-	total  map[isp.Addr]struct{}
-	stable map[isp.Addr]struct{}
-}
-
 // assemble folds per-epoch outputs into the figure-level results.
-func assemble(interval time.Duration, cfg Config, specs []SnapshotSpec, outs []*EpochMetrics, days map[int64]*daySets) (*Results, error) {
+func assemble(interval time.Duration, cfg Config, specs []SnapshotSpec, outs []*EpochMetrics, days []DayCount) (*Results, error) {
 	res := &Results{
 		Interval:   interval,
 		EpochCount: len(outs),
@@ -513,18 +595,7 @@ func assemble(interval time.Duration, cfg Config, specs []SnapshotSpec, outs []*
 	}
 
 	// Fig. 1B: daily distinct addresses.
-	dayKeys := make([]int64, 0, len(days))
-	for k := range days {
-		dayKeys = append(dayKeys, k)
-	}
-	slices.Sort(dayKeys)
-	for _, k := range dayKeys {
-		pc.Days = append(pc.Days, DayCount{
-			Day:    time.Unix(k, 0).In(workload.Beijing),
-			Total:  len(days[k].total),
-			Stable: len(days[k].stable),
-		})
-	}
+	pc.Days = days
 	res.PeerCounts = pc
 
 	// Fig. 2: ISP shares, averaged over epochs.

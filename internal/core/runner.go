@@ -103,7 +103,7 @@ func startPool(k *kernel) *pool {
 				j.out = k.run(v, j.pos, sc)
 				// Fold this epoch's addresses into the worker's shard of
 				// the day-distinct sets (Fig. 1B).
-				foldDay(sc.days, v)
+				sc.foldDay(v)
 			}
 		}()
 	}

@@ -21,9 +21,11 @@ func packEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(
 // Digraph allocates nothing once both have grown to the largest epoch.
 //
 // Node numbering matches Builder exactly: nodes pre-registered by Reset
-// come first in the given order, then endpoints in order of first
-// appearance in AddEdge — so graphs built either way are identical,
-// which the pipeline's determinism contract requires.
+// come first in the given order, then nodes in order of registration by
+// AddNode or AddEdge — so graphs built either way are identical, which
+// the pipeline's determinism contract requires. A caller that knows an
+// edge's node indices adds it with AddIndexEdge and pays no address
+// lookup for it.
 //
 // A CSRBuilder is not safe for concurrent use; the analysis pipeline
 // keeps one per worker.
@@ -54,12 +56,6 @@ func (b *CSRBuilder) Reset(nodes []isp.Addr) {
 	}
 }
 
-// Contains reports whether the address is currently registered.
-func (b *CSRBuilder) Contains(a isp.Addr) bool {
-	_, ok := b.idx[a]
-	return ok
-}
-
 // AddNode registers an isolated node.
 func (b *CSRBuilder) AddNode(a isp.Addr) int32 {
 	if i, ok := b.idx[a]; ok {
@@ -77,7 +73,16 @@ func (b *CSRBuilder) AddEdge(from, to isp.Addr) {
 	if from == to {
 		return
 	}
-	u, v := b.AddNode(from), b.AddNode(to)
+	b.AddIndexEdge(b.AddNode(from), b.AddNode(to))
+}
+
+// AddIndexEdge registers the directed edge u → v between two nodes
+// already registered by Reset or AddNode. Self-loops are dropped,
+// duplicates at Build time.
+func (b *CSRBuilder) AddIndexEdge(u, v int32) {
+	if u == v {
+		return
+	}
 	b.edges = append(b.edges, packEdge(u, v))
 }
 
@@ -153,4 +158,94 @@ func cut(flat []int32, off, d int) []int32 {
 		return nil
 	}
 	return flat[off : off+d : off+d]
+}
+
+// KeepPrefix cuts g down, in place, to the subgraph induced by its first
+// r nodes, and returns g. Adjacency lists are sorted, so each kept list
+// is its own prefix below r: the cut moves no edge and allocates
+// nothing. It is how a pipeline turns an epoch's active graph, whose
+// nodes 0…r−1 are the reporters, into the stable graph. The graph g held
+// before is gone: its arena now holds the prefix graph, and the
+// undirected view and the address index are dropped with it.
+func (g *Digraph) KeepPrefix(r int) *Digraph {
+	if r < 0 || r > len(g.ids) {
+		panic("graph: KeepPrefix outside the node range")
+	}
+	g.ids, g.out, g.in = g.ids[:r], g.out[:r], g.in[:r]
+	m := 0
+	for i := range g.out {
+		g.out[i] = below(g.out[i], int32(r))
+		g.in[i] = below(g.in[i], int32(r))
+		m += len(g.out[i])
+	}
+	g.m = m
+	g.idx, g.undOK = nil, false
+	return g
+}
+
+// below returns the prefix of the sorted list s whose entries are below r.
+func below(s []int32, r int32) []int32 {
+	k, _ := slices.BinarySearch(s, r)
+	return s[:k]
+}
+
+// InducedSubgraphInto keeps the nodes for which keep returns true and
+// every edge between two kept nodes, built into dst, and returns dst —
+// e.g. the stable peers of one ISP. keep is called once per node index,
+// in order. Kept nodes keep their relative order, so the subgraph
+// numbers them as g does, and each list, remapped through the ranks of
+// the kept nodes, stays sorted: dst is filled directly, with no builder,
+// address map or sort. dst must not be g. The graph dst held before is
+// gone, as after a BuildInto.
+func (g *Digraph) InducedSubgraphInto(dst *Digraph, keep func(i int32) bool) *Digraph {
+	g.rank = resize(g.rank, len(g.ids))
+	rank := g.rank
+	n := int32(0)
+	for i := range rank {
+		rank[i] = -1
+		if keep(int32(i)) {
+			rank[i] = n
+			n++
+		}
+	}
+	m := 0
+	for u, out := range g.out {
+		if rank[u] < 0 {
+			continue
+		}
+		for _, v := range out {
+			if rank[v] >= 0 {
+				m++
+			}
+		}
+	}
+	dst.ids = resize(dst.ids, int(n))
+	dst.out = resize(dst.out, int(n))
+	dst.in = resize(dst.in, int(n))
+	dst.adj = resize(dst.adj, 2*m)
+	dst.m = m
+	dst.idx, dst.undOK = nil, false
+	outOff, inOff := 0, m
+	for u, r := range rank {
+		if r < 0 {
+			continue
+		}
+		dst.ids[r] = g.ids[u]
+		dst.out[r], outOff = remap(dst.adj, outOff, g.out[u], rank)
+		dst.in[r], inOff = remap(dst.adj, inOff, g.in[u], rank)
+	}
+	return dst
+}
+
+// remap writes the ranks of list's kept nodes to flat from off, and
+// returns them as one adjacency list along with the next free offset.
+func remap(flat []int32, off int, list, rank []int32) ([]int32, int) {
+	start := off
+	for _, v := range list {
+		if r := rank[v]; r >= 0 {
+			flat[off] = r
+			off++
+		}
+	}
+	return cut(flat, start, off-start), off
 }

@@ -137,7 +137,7 @@ func sameAccessors(t *testing.T, got, want *Digraph) {
 		got.AveragePathLength(rand.New(rand.NewSource(5)), 7),
 		want.AveragePathLength(rand.New(rand.NewSource(5)), 7))
 	bits("GarlaschelliLoffredo", got.GarlaschelliLoffredo(), want.GarlaschelliLoffredo())
-	pred := func(from, to isp.Addr) bool { return from < to }
+	pred := func(u, v int32) bool { return u < v }
 	gy, gn := got.PartitionReciprocity(pred)
 	wy, wn := want.PartitionReciprocity(pred)
 	if gy != wy || gn != wn {
@@ -169,47 +169,70 @@ func TestBuildIntoReusesArena(t *testing.T) {
 	}
 }
 
-// TestInducedSubgraphIntoReusesArena rebuilds subgraphs of different
-// sizes into one arena through one builder and compares each with the
-// map-based reference.
-func TestInducedSubgraphIntoReusesArena(t *testing.T) {
-	g := csrGraph(NewCSRBuilder(), new(Digraph), 3, 80, 900)
-	b := NewCSRBuilder()
-	var arena Digraph
-	for _, mod := range []isp.Addr{2, 7, 3} {
-		keep := func(a isp.Addr) bool { return a%mod == 0 }
-		got := g.InducedSubgraphInto(b, &arena, keep)
-		ref := NewBuilder()
-		for i := int32(0); i < int32(g.N()); i++ {
-			if keep(g.Addr(i)) {
-				ref.AddNode(g.Addr(i))
+// inducedReference is the map-based Builder build of the subgraph of g
+// induced by the node indices keep accepts.
+func inducedReference(g *Digraph, keep func(i int32) bool) *Digraph {
+	ref := NewBuilder()
+	for i := int32(0); i < int32(g.N()); i++ {
+		if keep(i) {
+			ref.AddNode(g.Addr(i))
+		}
+	}
+	for u := int32(0); u < int32(g.N()); u++ {
+		for _, v := range g.Out(u) {
+			if keep(u) && keep(v) {
+				ref.AddEdge(g.Addr(u), g.Addr(v))
 			}
 		}
-		for u := int32(0); u < int32(g.N()); u++ {
-			for _, v := range g.Out(u) {
-				if keep(g.Addr(u)) && keep(g.Addr(v)) {
-					ref.AddEdge(g.Addr(u), g.Addr(v))
-				}
-			}
+	}
+	return ref.Build()
+}
+
+// TestKeepPrefixMatchesBuilder cuts random CSR graphs down to prefixes
+// of every size class, the first node to all of them, and compares each
+// cut with a Builder build of the induced edges.
+func TestKeepPrefixMatchesBuilder(t *testing.T) {
+	for _, seed := range []int64{4, 5, 6} {
+		full := csrGraph(NewCSRBuilder(), new(Digraph), seed, 60, 700)
+		for _, r := range []int{0, 1, 3, full.N() / 2, full.N() - 1, full.N()} {
+			want := inducedReference(full, func(i int32) bool { return int(i) < r })
+			got := csrGraph(NewCSRBuilder(), new(Digraph), seed, 60, 700)
+			got.UndirectedM() // a cached undirected view must not survive the cut
+			sameAccessors(t, got.KeepPrefix(r), want)
 		}
-		sameAccessors(t, got, ref.Build())
 	}
 }
 
-func TestCSRContains(t *testing.T) {
+// TestKeepPrefixThenRebuild cuts a warm arena to a prefix and rebuilds
+// a larger graph into it: the rebuilt arena must read exactly as a
+// fresh build, undirected view and address index included.
+func TestKeepPrefixThenRebuild(t *testing.T) {
 	b := NewCSRBuilder()
-	b.Reset([]isp.Addr{3, 1, 9})
-	for _, a := range []isp.Addr{1, 3, 9} {
-		if !b.Contains(a) {
-			t.Errorf("Contains(%v) = false after Reset", a)
+	var arena Digraph
+	first := csrGraph(b, &arena, 7, 40, 300)
+	sameAccessors(t, first, csrGraph(NewCSRBuilder(), new(Digraph), 7, 40, 300))
+	r := first.N() / 3
+	want := inducedReference(csrGraph(NewCSRBuilder(), new(Digraph), 7, 40, 300), func(i int32) bool { return int(i) < r })
+	if got := first.KeepPrefix(r); got != &arena {
+		t.Fatal("KeepPrefix did not return its receiver")
+	}
+	sameAccessors(t, &arena, want)
+
+	sameAccessors(t, csrGraph(b, &arena, 8, 120, 1500), csrGraph(NewCSRBuilder(), new(Digraph), 8, 120, 1500))
+}
+
+// TestInducedSubgraphIntoReusesArena rebuilds subgraphs of different
+// sizes into one arena and compares each with the map-based reference.
+func TestInducedSubgraphIntoReusesArena(t *testing.T) {
+	g := csrGraph(NewCSRBuilder(), new(Digraph), 3, 80, 900)
+	var arena Digraph
+	for _, mod := range []isp.Addr{2, 7, 3, 1} {
+		keep := func(i int32) bool { return g.Addr(i)%mod == 0 }
+		got := g.InducedSubgraphInto(&arena, keep)
+		if got != &arena {
+			t.Fatal("InducedSubgraphInto did not return its argument")
 		}
-	}
-	if b.Contains(5) {
-		t.Error("Contains(5) = true, never registered")
-	}
-	b.AddEdge(5, 1)
-	if !b.Contains(5) {
-		t.Error("Contains(5) = false after AddEdge registered it")
+		sameAccessors(t, got, inducedReference(g, keep))
 	}
 }
 
@@ -235,7 +258,9 @@ func TestPartitionEdgeSubgraphsMatchesTwoPasses(t *testing.T) {
 func TestPartitionReciprocityMatchesSubgraphs(t *testing.T) {
 	// Include a NON-symmetric predicate: an edge can satisfy pred while
 	// its reverse does not, which exercises the bilateral membership rule
-	// (both directions must land in the same partition to count).
+	// (both directions must land in the same partition to count). Each
+	// predicate is stated over addresses for the EdgeSubgraph reference
+	// and handed to PartitionReciprocity over node indices.
 	preds := map[string]func(from, to isp.Addr) bool{
 		"symmetric":  func(from, to isp.Addr) bool { return (from+to)%3 == 0 },
 		"asymmetric": func(from, to isp.Addr) bool { return from < to },
@@ -250,7 +275,7 @@ func TestPartitionReciprocityMatchesSubgraphs(t *testing.T) {
 			}
 			g := b.Build()
 
-			yes, no := g.PartitionReciprocity(pred)
+			yes, no := g.PartitionReciprocity(func(u, v int32) bool { return pred(g.Addr(u), g.Addr(v)) })
 			wantYes, wantNo := g.PartitionEdgeSubgraphs(pred)
 			for _, c := range []struct {
 				got  SubgraphStats

@@ -17,12 +17,13 @@ import (
 // Digraph is a directed graph over peer addresses, stored as sorted
 // adjacency lists.
 //
-// A Digraph is also an arena. CSRBuilder.BuildInto and the Erdős–Rényi
-// draws of RandomScratch refill one in place, and the metric kernels keep
-// their scratch in it (clustering stamps, BFS words and sources, node
-// marks), so analyzing one graph per epoch through the same Digraph
+// A Digraph is also an arena. CSRBuilder.BuildInto, InducedSubgraphInto
+// and the Erdős–Rényi draws of RandomScratch refill one in place,
+// KeepPrefix cuts one down in place, and the metric kernels keep their
+// scratch in it (clustering stamps, BFS words and sources, node marks
+// and ranks), so analyzing one graph per epoch through the same Digraph
 // allocates nothing once its arrays have grown. A graph built into a
-// Digraph is valid until the next build into it.
+// Digraph is valid until the next build into it or cut of it.
 //
 // The address→index map and the undirected adjacency are built lazily on
 // first use. Those caches and the kernels' scratch are written by the
@@ -44,7 +45,8 @@ type Digraph struct {
 	stamp   []int32  // ClusteringCoefficient's neighbour stamps
 	sources []int32  // AveragePathLength's BFS sources
 	words   []uint64 // AveragePathLength's seen/frontier/next words
-	marks   []bool   // node marks of PartitionReciprocity and InducedSubgraph
+	marks   []bool   // PartitionReciprocity's node marks
+	rank    []int32  // InducedSubgraphInto's node ranks
 }
 
 // resize returns s with length n, reusing its array when it is large
@@ -224,37 +226,9 @@ func (g *Digraph) buildUndirected() {
 	g.undAdj, g.undM, g.undOK = flat, len(flat)/2, true
 }
 
-// InducedSubgraph keeps the nodes for which keep returns true and every
-// edge between two kept nodes — e.g. the stable peers of one ISP.
-func (g *Digraph) InducedSubgraph(keep func(isp.Addr) bool) *Digraph {
-	return g.InducedSubgraphInto(NewCSRBuilder(), new(Digraph), keep)
-}
-
-// InducedSubgraphInto is InducedSubgraph built into dst through b, whose
-// scratch a per-worker pipeline reuses; b is Reset first. dst must not be
-// g. Kept nodes keep their relative order, so the subgraph numbers them
-// as g does.
-func (g *Digraph) InducedSubgraphInto(b *CSRBuilder, dst *Digraph, keep func(isp.Addr) bool) *Digraph {
-	g.marks = resize(g.marks, g.N())
-	kept := g.marks
-	b.Reset(nil)
-	for i, a := range g.ids {
-		kept[i] = keep(a)
-		if kept[i] {
-			b.AddNode(a)
-		}
-	}
-	for u, out := range g.out {
-		if !kept[u] {
-			continue
-		}
-		for _, v := range out {
-			if kept[v] {
-				b.AddEdge(g.ids[u], g.ids[v])
-			}
-		}
-	}
-	return b.BuildInto(dst)
+// InducedSubgraph is InducedSubgraphInto a fresh Digraph.
+func (g *Digraph) InducedSubgraph(keep func(i int32) bool) *Digraph {
+	return g.InducedSubgraphInto(new(Digraph), keep)
 }
 
 // EdgeSubgraph keeps the edges for which keep returns true, plus their
@@ -335,9 +309,5 @@ func (g *Digraph) LargestComponent() *Digraph {
 			best, bestSize = id, size
 		}
 	}
-	g.ensureIdx()
-	return g.InducedSubgraph(func(a isp.Addr) bool {
-		i := g.idx[a]
-		return comp[i] == best
-	})
+	return g.InducedSubgraph(func(i int32) bool { return comp[i] == best })
 }

@@ -93,7 +93,7 @@ func TestIsolatedNodesSurvive(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := buildGraph([][2]uint32{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {1, 3}})
-	sub := g.InducedSubgraph(func(a isp.Addr) bool { return a <= 3 })
+	sub := g.InducedSubgraph(func(i int32) bool { return g.Addr(i) <= 3 })
 	if sub.N() != 3 {
 		t.Errorf("sub N = %d, want 3", sub.N())
 	}

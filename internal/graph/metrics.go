@@ -4,8 +4,6 @@ package graph
 import (
 	"math/bits"
 	"math/rand"
-
-	"github.com/magellan-p2p/magellan/internal/isp"
 )
 
 // InDegrees returns the active indegree of every node.
@@ -166,10 +164,12 @@ func (g *Digraph) AveragePathLength(rng *rand.Rand, samples int) float64 {
 // Reciprocity returns the raw bilateral-edge fraction r of Eq. (1): the
 // number of directed edges whose reverse also exists, over all directed
 // edges.
-func (g *Digraph) Reciprocity() float64 {
-	if g.m == 0 {
-		return 0
-	}
+func (g *Digraph) Reciprocity() float64 { return g.ReciprocityStats().R() }
+
+// ReciprocityStats returns the graph's node, edge and bilateral-edge
+// counts, from which SubgraphStats computes both r and ρ: a caller that
+// needs the two merges the adjacency lists once.
+func (g *Digraph) ReciprocityStats() SubgraphStats {
 	// An edge u→v is bilateral iff v→u exists, i.e. v is in both u's out-
 	// and in-list; both lists are sorted, so a linear merge counts the
 	// intersection without per-edge binary searches.
@@ -190,19 +190,28 @@ func (g *Digraph) Reciprocity() float64 {
 			}
 		}
 	}
-	return float64(bilateral) / float64(g.m)
+	return SubgraphStats{N: g.N(), M: g.m, Bilateral: bilateral}
 }
 
-// SubgraphStats carries the three integers GarlaschelliLoffredo
-// reciprocity needs — nodes, directed edges, and bilateral edges — for
-// an edge subgraph that was never materialized.
+// SubgraphStats carries the three integers reciprocity needs — nodes,
+// directed edges, and bilateral edges — for a whole graph, or for an
+// edge subgraph that was never materialized.
 type SubgraphStats struct {
 	N, M, Bilateral int
 }
 
-// GarlaschelliLoffredo computes ρ from the counts, with the exact guards
-// and operation order of Digraph.GarlaschelliLoffredo, so a stats-based
-// and a subgraph-based computation produce identical bits.
+// R returns the raw reciprocity r = Bilateral / M, or 0 without edges.
+func (s SubgraphStats) R() float64 {
+	if s.M == 0 {
+		return 0
+	}
+	return float64(s.Bilateral) / float64(s.M)
+}
+
+// GarlaschelliLoffredo returns the edge reciprocity ρ of Eq. (2):
+// ρ = (r − ā) / (1 − ā) with ā = M / (N(N−1)), the density-corrected
+// reciprocity. ρ > 0 means more reciprocal than a random graph of equal
+// density; ρ < 0 means antireciprocal (tree-like).
 func (s SubgraphStats) GarlaschelliLoffredo() float64 {
 	n := int64(s.N)
 	if n < 2 || s.M == 0 {
@@ -212,17 +221,18 @@ func (s SubgraphStats) GarlaschelliLoffredo() float64 {
 	if abar >= 1 {
 		return 0
 	}
-	r := float64(s.Bilateral) / float64(s.M)
-	return (r - abar) / (1 - abar)
+	return (s.R() - abar) / (1 - abar)
 }
 
 // PartitionReciprocity computes the SubgraphStats of the two edge
 // subgraphs PartitionEdgeSubgraphs would build — pred-true edges and
 // their incident nodes, pred-false edges and theirs — without building
-// either graph: one pred call per edge, a sorted merge for bilaterals,
-// and two incidence bitmaps. This is all the Fig. 8 intra-/inter-ISP
-// reciprocity needs per epoch.
-func (g *Digraph) PartitionReciprocity(pred func(from, to isp.Addr) bool) (yes, no SubgraphStats) {
+// either graph: one pred call per edge (two for a bilateral one), a
+// sorted merge for bilaterals, and two incidence bitmaps. pred takes the
+// edge's node indices, so a caller that keeps a per-node column (an
+// epoch's node ISPs) answers it by indexing. This is all the Fig. 8
+// intra-/inter-ISP reciprocity needs per epoch.
+func (g *Digraph) PartitionReciprocity(pred func(u, v int32) bool) (yes, no SubgraphStats) {
 	g.marks = resize(g.marks, 2*g.N())
 	clear(g.marks)
 	inYes, inNo := g.marks[:g.N()], g.marks[g.N():]
@@ -230,7 +240,7 @@ func (g *Digraph) PartitionReciprocity(pred func(from, to isp.Addr) bool) (yes, 
 		o, in := g.out[u], g.in[u]
 		j := 0
 		for _, v := range o {
-			keep := pred(g.ids[u], g.ids[v])
+			keep := pred(int32(u), v)
 			if keep {
 				yes.M++
 				inYes[u], inYes[v] = true, true
@@ -244,7 +254,7 @@ func (g *Digraph) PartitionReciprocity(pred func(from, to isp.Addr) bool) (yes, 
 				j++
 			}
 			if j < len(in) && in[j] == v {
-				if keep == pred(g.ids[v], g.ids[u]) {
+				if keep == pred(v, int32(u)) {
 					if keep {
 						yes.Bilateral++
 					} else {
@@ -265,20 +275,10 @@ func (g *Digraph) PartitionReciprocity(pred func(from, to isp.Addr) bool) (yes, 
 	return yes, no
 }
 
-// GarlaschelliLoffredo returns the edge reciprocity ρ of Eq. (2):
-// ρ = (r − ā) / (1 − ā) with ā = M / (N(N−1)), the density-corrected
-// reciprocity. ρ > 0 means more reciprocal than a random graph of equal
-// density; ρ < 0 means antireciprocal (tree-like).
+// GarlaschelliLoffredo returns the edge reciprocity ρ of Eq. (2); see
+// SubgraphStats.GarlaschelliLoffredo.
 func (g *Digraph) GarlaschelliLoffredo() float64 {
-	n := int64(g.N())
-	if n < 2 || g.m == 0 {
-		return 0
-	}
-	abar := float64(g.m) / float64(n*(n-1))
-	if abar >= 1 {
-		return 0
-	}
-	return (g.Reciprocity() - abar) / (1 - abar)
+	return g.ReciprocityStats().GarlaschelliLoffredo()
 }
 
 // MeanDegree returns (mean indegree, mean outdegree, mean undirected

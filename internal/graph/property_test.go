@@ -23,7 +23,7 @@ func randomGraphs(seed int64, n int) []*Digraph {
 
 func TestPropertyInducedSubgraphIsSubset(t *testing.T) {
 	for _, g := range randomGraphs(1, 25) {
-		sub := g.InducedSubgraph(func(a isp.Addr) bool { return a%2 == 0 })
+		sub := g.InducedSubgraph(func(i int32) bool { return g.Addr(i)%2 == 0 })
 		if sub.N() > g.N() || sub.M() > g.M() {
 			t.Fatalf("induced subgraph grew: (%d,%d) from (%d,%d)", sub.N(), sub.M(), g.N(), g.M())
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/magellan-p2p/magellan/internal/allocguard"
 	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/netsim"
 	"github.com/magellan-p2p/magellan/internal/protocol"
@@ -352,7 +353,7 @@ func TestExchangeTickZeroAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tick()
 	}
-	if allocs := testing.AllocsPerRun(50, tick); allocs != 0 {
-		t.Errorf("Exchange.Tick allocates %.2f times per tick, want 0", allocs)
+	if n := allocguard.Count(50, tick); n != 0 {
+		t.Errorf("Exchange.Tick allocates %d objects over 50 warm ticks, want 0", n)
 	}
 }
