@@ -316,16 +316,6 @@ func shardListenAddrs(base string, n int) ([]string, error) {
 	return addrs, nil
 }
 
-// sinkSeries samples one accounting method across the fleet's sinks, in
-// shard order (1-based labels, matching the ingest metrics).
-func sinkSeries(sinks []*rotatingSink, read func(*rotatingSink) uint64) []obs.SeriesSample {
-	out := make([]obs.SeriesSample, len(sinks))
-	for i, s := range sinks {
-		out[i] = obs.SeriesSample{Label: strconv.Itoa(i + 1), Value: float64(read(s))}
-	}
-	return out
-}
-
 // newDaemon builds the operator surface first, so a bad -http fails
 // before recovery or a sink touches a trace file; then the ingest data
 // plane on the surface's registry; then it starts serving.
@@ -422,21 +412,12 @@ func newDaemon(cfg daemonConfig) (_ *daemon, err error) {
 	reg.GaugeFunc("magellan_serve_truncated_bytes",
 		"Bytes truncated from torn trace files at startup.",
 		func() float64 { return float64(d.truncatedBytes) })
-	if n == 1 {
-		reg.CounterFunc("magellan_sink_reports_written_total",
-			"Reports persisted across all trace files.",
-			sinks[0].Written)
-		reg.CounterFunc("magellan_sink_rotations_total",
-			"Trace files opened (startup plus rotations).",
-			sinks[0].Rotations)
-	} else {
-		reg.CounterSeriesFunc("magellan_sink_reports_written_total",
-			"Reports persisted across the shard's trace files.", "shard",
-			func() []obs.SeriesSample { return sinkSeries(sinks, (*rotatingSink).Written) })
-		reg.CounterSeriesFunc("magellan_sink_rotations_total",
-			"Trace files the shard opened (startup plus rotations).", "shard",
-			func() []obs.SeriesSample { return sinkSeries(sinks, (*rotatingSink).Rotations) })
-	}
+	reg.ShardCounterFunc("magellan_sink_reports_written_total",
+		"Reports persisted across all trace files.", n,
+		func(i int) uint64 { return sinks[i].Written() })
+	reg.ShardCounterFunc("magellan_sink_rotations_total",
+		"Trace files opened (startup plus rotations).", n,
+		func(i int) uint64 { return sinks[i].Rotations() })
 	surf.Serve(opsurface.Plane{
 		Live: liveA,
 		Routes: func(mux *http.ServeMux) {

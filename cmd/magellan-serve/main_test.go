@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -73,11 +74,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && d.udp.Received() < n {
+	for time.Now().Before(deadline) && d.udp.Stats().Received < n {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if d.udp.Received() != n {
-		t.Fatalf("received %d, want %d", d.udp.Received(), n)
+	if got := d.udp.Stats().Received; got != n {
+		t.Fatalf("received %d, want %d", got, n)
 	}
 
 	// Status endpoint.
@@ -779,6 +780,57 @@ func TestDaemonLiveEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestSinkFamiliesExposition pins the two magellan_sink_* families an
+// idle daemon exposes: unlabeled and byte-exact at -shards 1, and one
+// shard="K" sample per member at -shards 2 (HELP wording masked).
+func TestSinkFamiliesExposition(t *testing.T) {
+	family := regexp.MustCompile(`(?m)^(# (HELP|TYPE) )?magellan_sink_(reports_written|rotations)_total.*\n`)
+	help := regexp.MustCompile(`(?m)^(# HELP \S+) .*$`)
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{
+		{1, `# HELP magellan_sink_reports_written_total Reports persisted across all trace files.
+# TYPE magellan_sink_reports_written_total counter
+magellan_sink_reports_written_total 0
+# HELP magellan_sink_rotations_total Trace files opened (startup plus rotations).
+# TYPE magellan_sink_rotations_total counter
+magellan_sink_rotations_total 1
+`},
+		{2, `# HELP magellan_sink_reports_written_total
+# TYPE magellan_sink_reports_written_total counter
+magellan_sink_reports_written_total{shard="1"} 0
+magellan_sink_reports_written_total{shard="2"} 0
+# HELP magellan_sink_rotations_total
+# TYPE magellan_sink_rotations_total counter
+magellan_sink_rotations_total{shard="1"} 1
+magellan_sink_rotations_total{shard="2"} 1
+`},
+	} {
+		d, err := newDaemon(daemonConfig{
+			listen: "127.0.0.1:0", outDir: t.TempDir(), shards: tc.shards, rotate: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = d.surf.Registry().WritePrometheus(&buf)
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Join(family.FindAllString(buf.String(), -1), "")
+		if tc.shards > 1 {
+			got = help.ReplaceAllString(got, "$1")
+		}
+		if got != tc.want {
+			t.Errorf("-shards %d sink families:\ngot:\n%s\nwant:\n%s", tc.shards, got, tc.want)
 		}
 	}
 }

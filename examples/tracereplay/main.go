@@ -25,13 +25,15 @@ func main() {
 }
 
 func run() error {
-	// The standalone trace server, bound to an ephemeral UDP port.
+	// A one-member trace-server fleet, bound to an ephemeral UDP port.
 	store := trace.NewStore(0)
-	server, err := trace.NewServer("127.0.0.1:0", store)
+	fleet, err := trace.NewFleet(trace.FleetAddrs("127.0.0.1", 1),
+		func(int) (trace.Sink, error) { return store, nil }, trace.FleetConfig{})
 	if err != nil {
 		return err
 	}
-	defer server.Close()
+	defer fleet.Close()
+	server := fleet.Server(0)
 	log.Printf("trace server listening on %s", server.Addr())
 
 	// The simulation ships every report through a real UDP client.
@@ -61,8 +63,9 @@ func run() error {
 	for time.Now().Before(deadline) && uint64(store.Len()) < s.Stats().Reports {
 		time.Sleep(20 * time.Millisecond)
 	}
+	st := server.Stats()
 	fmt.Printf("server ingested %d reports (%d dropped) across %d epochs\n",
-		server.Received(), server.Dropped(), len(store.Epochs()))
+		st.Received, st.Dropped(), len(store.Epochs()))
 
 	// Analyze what actually landed at the server.
 	res, err := core.Analyze(store, s.Database(), core.Config{Seed: 4})

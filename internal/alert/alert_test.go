@@ -177,8 +177,8 @@ func TestKinds(t *testing.T) {
 
 	t.Run("skew", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		vals := []obs.SeriesSample{}
-		reg.CounterSeriesFunc("recv_total", "", "shard", func() []obs.SeriesSample { return vals })
+		var vals [2]uint64
+		reg.ShardCounterFunc("recv_total", "", 2, func(i int) uint64 { return vals[i] })
 		db := tsdb.New(reg, tsdb.Config{Capacity: 64})
 		eng, err := New(db, []Rule{{
 			Name: "s", Metric: "recv_total", Kind: Skew, Threshold: 0.5, Window: 10 * time.Second,
@@ -186,14 +186,13 @@ func TestKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals = []obs.SeriesSample{{Value: 100}, {Value: 90}}
-		vals[0].Label, vals[1].Label = "0", "1"
+		vals = [2]uint64{100, 90}
 		db.SampleAt(sec(1))
 		eng.EvalAt(sec(1))
 		if f, _ := eng.Counts(); f != 0 {
 			t.Fatal("10% skew under a 50% threshold must not fire")
 		}
-		vals[1].Value = 10 // skew (100-10)/100 = 0.9
+		vals[1] = 10 // skew (100-10)/100 = 0.9
 		db.SampleAt(sec(2))
 		eng.EvalAt(sec(2))
 		if f, _ := eng.Counts(); f != 1 {

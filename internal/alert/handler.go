@@ -1,7 +1,6 @@
 package alert
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"github.com/magellan-p2p/magellan/internal/obs"
@@ -42,7 +41,7 @@ func Handler(e *Engine) http.Handler {
 		if p.Transitions == nil {
 			p.Transitions = []Transition{}
 		}
-		_ = json.NewEncoder(w).Encode(p) //magellan:allow erridle — a failed poll response means the poller hung up; nothing to do
+		obs.WriteJSON(w, p)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/magellan-p2p/magellan/internal/isp"
 	"github.com/magellan-p2p/magellan/internal/trace"
 	"github.com/magellan-p2p/magellan/internal/workload"
 )
@@ -157,5 +158,41 @@ func TestStreamFromBinaryReader(t *testing.T) {
 	}
 	if dropped != 0 || res.EpochCount == 0 {
 		t.Errorf("file stream: dropped=%d epochs=%d", dropped, res.EpochCount)
+	}
+}
+
+// TestStreamTornAfterLengthPrefix: a binary stream cut right after a
+// frame's length prefix ends in an error, not in results that silently
+// lack the record the prefix announced.
+func TestStreamTornAfterLengthPrefix(t *testing.T) {
+	reports := []trace.Report{
+		{Time: workload.TraceStart(), Addr: 0x0a000001, Port: 1, Channel: "CCTV1"},
+		{Time: workload.TraceStart(), Addr: 0x0a000002, Port: 1, Channel: "CCTV1"},
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if err := w.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the last payload off and keep its one-byte length prefix.
+	torn := buf.Bytes()[:buf.Len()-len(trace.AppendReport(nil, &reports[1]))]
+	rd, err := trace.NewReader(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := isp.NewDatabase(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := AnalyzeStream(rd, db, Config{Seed: 3}, 0); err == nil {
+		t.Error("AnalyzeStream read a torn stream as a clean one")
 	}
 }

@@ -71,7 +71,7 @@ const _legacyLinks = 3
 // arriving peer connects to _legacyLinks existing peers drawn
 // proportionally to current degree (the pong-cache bias).
 func buildLegacy(cfg Config, rng *rand.Rand) *graph.Digraph {
-	b := graph.NewBuilder()
+	b := graph.NewCSRBuilder()
 	// endpointList holds one entry per edge endpoint, so uniform
 	// sampling from it is degree-proportional sampling — the classic
 	// Barabási–Albert trick.
@@ -124,7 +124,7 @@ const (
 // themselves toward _ultraTarget connections, then leaves attach to
 // LeafLinks random ultrapeers.
 func buildModern(cfg Config, rng *rand.Rand) *graph.Digraph {
-	b := graph.NewBuilder()
+	b := graph.NewCSRBuilder()
 	nUltra := int(float64(cfg.Peers) * _ultrapeerFraction)
 	if nUltra < _ultraTarget+1 {
 		nUltra = _ultraTarget + 1

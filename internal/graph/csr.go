@@ -14,18 +14,20 @@ import (
 // radix.Sort.
 func packEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
-// CSRBuilder builds Digraphs through reusable scratch buffers — the
-// node-index map, the edge arrays and the degree counts survive a build
-// and are recycled by the next Reset. BuildInto refills a caller-owned
-// Digraph, so building one snapshot graph per epoch into the same
-// Digraph allocates nothing once both have grown to the largest epoch.
+// CSRBuilder builds Digraphs — the package's one graph builder —
+// through reusable scratch buffers: the node-index map, the edge arrays
+// and the degree counts survive a build and are recycled by the next
+// Reset. BuildInto refills a caller-owned Digraph, so building one
+// snapshot graph per epoch into the same Digraph allocates nothing once
+// both have grown to the largest epoch. A fresh builder needs no Reset.
 //
-// Node numbering matches Builder exactly: nodes pre-registered by Reset
-// come first in the given order, then nodes in order of registration by
-// AddNode or AddEdge — so graphs built either way are identical, which
-// the pipeline's determinism contract requires. A caller that knows an
-// edge's node indices adds it with AddIndexEdge and pays no address
-// lookup for it.
+// Node numbering is fixed: nodes pre-registered by Reset come first in
+// the given order, then nodes in order of registration by AddNode or
+// AddEdge — the numbering of the plain map-based reference builder the
+// tests compare against, so every graph is the same however it is
+// built, which the pipeline's determinism contract requires. A caller
+// that knows an edge's node indices adds it with AddIndexEdge and pays
+// no address lookup for it.
 //
 // A CSRBuilder is not safe for concurrent use; the analysis pipeline
 // keeps one per worker.

@@ -2,7 +2,6 @@ package live
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -145,7 +144,7 @@ func (a *Analyzer) payload() epochsPayload {
 // application/json. Safe on a nil analyzer (serves the empty series).
 func EpochsHandler(a *Analyzer) http.Handler {
 	return obs.Guarded("application/json", func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(a.payload()) //magellan:allow erridle — a failed poll response means the poller hung up; nothing to do
+		obs.WriteJSON(w, a.payload())
 	})
 }
 

@@ -31,16 +31,36 @@ func equivConfig() core.Config {
 	}
 }
 
+// observedSink hands each report its store accepted to observe, after
+// the store accepted it — how magellan-sim's tee feeds the live plane.
+type observedSink struct {
+	store   *trace.Store
+	observe func(r trace.Report)
+}
+
+func (o observedSink) Submit(r trace.Report) error {
+	if err := o.store.Submit(r); err != nil {
+		return err
+	}
+	o.observe(r)
+	return nil
+}
+
 // runLiveSim simulates a short overlay with the given ingest shard
-// count and faults, feeding a live analyzer through per-shard store
-// observers — the same subscription geometry the daemons use — and
+// count and faults, feeding a live analyzer through per-shard observed
+// store sinks — the same subscription geometry the daemons use — and
 // returns the analyzer, the per-shard stores for batch-side merging,
 // and the run's ISP database.
 func runLiveSim(t *testing.T, shards int, f faults.Config) (*live.Analyzer, []*trace.Store, *isp.Database) {
 	t.Helper()
+	// a is assigned after sim.New (it needs the run's ISP database) and
+	// before s.Run submits the first report.
+	var a *live.Analyzer
 	stores := make([]*trace.Store, shards)
+	sinks := make([]trace.Sink, shards)
 	for i := range stores {
 		stores[i] = trace.NewStore(0)
+		sinks[i] = observedSink{stores[i], func(r trace.Report) { a.Observe(i, r) }}
 	}
 	cfg := sim.Config{
 		Seed:            7,
@@ -50,26 +70,19 @@ func runLiveSim(t *testing.T, shards int, f faults.Config) (*live.Analyzer, []*t
 		Faults:          f,
 	}
 	if shards > 1 {
-		cfg.ShardSinks = make([]trace.Sink, shards)
-		for i, st := range stores {
-			cfg.ShardSinks[i] = st
-		}
+		cfg.ShardSinks = sinks
 	} else {
-		cfg.Sink = stores[0]
+		cfg.Sink = sinks[0]
 	}
 	s, err := sim.New(cfg)
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	a := live.New(live.Config{
+	a = live.New(live.Config{
 		Shards:   shards,
 		DB:       s.Database(),
 		Analysis: equivConfig(),
 	})
-	for i, st := range stores {
-		shard := i
-		st.SetObserver(func(r trace.Report) { a.Observe(shard, r) })
-	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
@@ -170,19 +183,22 @@ func TestLiveBatchEquivalence(t *testing.T) {
 func TestLiveMeasurementOnly(t *testing.T) {
 	digest := func(observe bool) string {
 		store := trace.NewStore(0)
+		var a *live.Analyzer
 		cfg := sim.Config{
 			Seed:            11,
 			Duration:        time.Hour,
 			MeanConcurrency: 80,
 			Sink:            store,
 		}
+		if observe {
+			cfg.Sink = observedSink{store, func(r trace.Report) { a.Observe(0, r) }}
+		}
 		s, err := sim.New(cfg)
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}
 		if observe {
-			a := live.New(live.Config{Shards: 1, DB: s.Database()})
-			store.SetObserver(func(r trace.Report) { a.Observe(0, r) })
+			a = live.New(live.Config{Shards: 1, DB: s.Database()})
 			defer a.Drain()
 		}
 		if err := s.Run(); err != nil {

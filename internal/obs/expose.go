@@ -66,11 +66,6 @@ func appendEscapedHelp(b []byte, help string) []byte {
 // endpoint in the daemons goes through this one helper, so the
 // method/header behavior cannot drift between them.
 func Guarded(contentType string, serve func(w http.ResponseWriter, req *http.Request)) http.Handler {
-	return guarded(contentType, serve)
-}
-
-// guarded is Guarded; the package's own handlers call it directly.
-func guarded(contentType string, serve func(w http.ResponseWriter, req *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			w.Header().Set("Allow", http.MethodGet)
@@ -82,10 +77,17 @@ func guarded(contentType string, serve func(w http.ResponseWriter, req *http.Req
 	})
 }
 
+// WriteJSON encodes v as one JSON document onto a response body. Every
+// JSON endpoint in the daemons writes through it, so the one way a
+// response write can fail — the client hung up — is handled once.
+func WriteJSON(w io.Writer, v any) {
+	_ = json.NewEncoder(w).Encode(v) //magellan:allow erridle — a failed response write means the client hung up; nothing to do
+}
+
 // Handler returns an http.Handler serving the registry in Prometheus
 // text format on GET (and HEAD); other methods get 405.
 func Handler(r *Registry) http.Handler {
-	return guarded("text/plain; version=0.0.4; charset=utf-8", func(w http.ResponseWriter, _ *http.Request) {
+	return Guarded("text/plain; version=0.0.4; charset=utf-8", func(w http.ResponseWriter, _ *http.Request) {
 		_ = r.WritePrometheus(w) //magellan:allow erridle — a failed scrape response means the scraper hung up; nothing to do
 	})
 }
@@ -94,8 +96,8 @@ func Handler(r *Registry) http.Handler {
 // JSON object per request: 405 on non-GET, Content-Type
 // application/json — the discipline /status and /events share.
 func JSONHandler(payload func() any) http.Handler {
-	return guarded("application/json", func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(payload()) //magellan:allow erridle — a failed poll response means the poller hung up; nothing to do
+	return Guarded("application/json", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, payload())
 	})
 }
 
@@ -120,7 +122,7 @@ type eventsPayload struct {
 // serves the empty tail, so daemons can mount the endpoint
 // unconditionally.
 func EventsHandler(j *Journal) http.Handler {
-	return guarded("application/json", func(w http.ResponseWriter, req *http.Request) {
+	return Guarded("application/json", func(w http.ResponseWriter, req *http.Request) {
 		n := DefaultEventsTail
 		if s := req.URL.Query().Get("n"); s != "" {
 			v, err := strconv.Atoi(s)
@@ -154,7 +156,7 @@ func EventsHandler(j *Journal) http.Handler {
 		if evs == nil {
 			evs = []Event{}
 		}
-		_ = json.NewEncoder(w).Encode(eventsPayload{ //magellan:allow erridle — a failed poll response means the poller hung up; nothing to do
+		WriteJSON(w, eventsPayload{
 			Recorded: j.Recorded(),
 			Dropped:  j.Dropped(),
 			Events:   evs,
@@ -174,12 +176,12 @@ type healthzPayload struct {
 // and magellan-loadgen poll it instead of sleeping on fixed delays.
 // The method/Content-Type discipline is the shared guard's.
 func HealthzHandler(version string, ready func() bool) http.Handler {
-	return guarded("application/json", func(w http.ResponseWriter, _ *http.Request) {
+	return Guarded("application/json", func(w http.ResponseWriter, _ *http.Request) {
 		p := healthzPayload{Status: "ok", Version: version}
 		if !ready() {
 			p.Status = "draining"
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		_ = json.NewEncoder(w).Encode(p) //magellan:allow erridle — a failed probe response means the prober hung up; nothing to do
+		WriteJSON(w, p)
 	})
 }

@@ -258,70 +258,65 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, nil, gaugeFunc(fn))
 }
 
-// A SeriesSample is one labelled sample of a series family: the value a
-// single variable label takes (e.g. shard="3") and the sample itself.
-type SeriesSample struct {
-	Label string
-	Value float64
+// shardFunc samples one value per member of an n-member tier at
+// exposition time, as one family with a shard="K" sample per member.
+type shardFunc struct {
+	kind string // "counter" or "gauge"
+	n    int
+	fn   func(i int) float64
 }
 
-// seriesFunc samples a callback producing one family of labelled values
-// at exposition time.
-type seriesFunc struct {
-	kind  string // "counter" or "gauge"
-	label string
-	fn    func() []SeriesSample
-}
+func (s shardFunc) typ() string { return s.kind }
 
-func (s seriesFunc) typ() string { return s.kind }
-
-func (s seriesFunc) emit(b []byte, name, _ string) []byte {
-	for _, sample := range s.fn() {
-		b = append(b, name...)
-		b = append(b, '{')
-		b = append(b, s.label...)
-		b = append(b, '=', '"')
-		b = appendEscapedLabelValue(b, sample.Label)
-		b = append(b, '"', '}', ' ')
-		b = appendFloat(b, sample.Value)
+func (s shardFunc) emit(b []byte, name, _ string) []byte {
+	for i := 0; i < s.n; i++ {
+		b = appendShardLabel(append(b, name...), i)
+		b = append(b, ' ')
+		b = appendFloat(b, s.fn(i))
 		b = append(b, '\n')
 	}
 	return b
 }
 
-func (s seriesFunc) sample(out []SnapshotSample, name, _ string) []SnapshotSample {
-	for _, sm := range s.fn() {
-		key := make([]byte, 0, len(name)+len(s.label)+len(sm.Label)+4)
-		key = append(key, name...)
-		key = append(key, '{')
-		key = append(key, s.label...)
-		key = append(key, '=', '"')
-		key = appendEscapedLabelValue(key, sm.Label)
-		key = append(key, '"', '}')
-		out = append(out, SnapshotSample{Series: string(key), Value: sm.Value})
+func (s shardFunc) sample(out []SnapshotSample, name, _ string) []SnapshotSample {
+	for i := 0; i < s.n; i++ {
+		key := appendShardLabel([]byte(name), i)
+		out = append(out, SnapshotSample{Series: string(key), Value: s.fn(i)})
 	}
 	return out
 }
 
-// CounterSeriesFunc registers a counter family whose samples carry one
-// variable label (e.g. magellan_ingest_received_total{shard="2"}). fn is
-// called at exposition time and must be safe to call from the scraping
-// goroutine; it should return samples in a fixed order so exposition
-// stays deterministic. This is how a sharded ingest fleet exposes one
-// metric family across N servers without N metric names.
-func (r *Registry) CounterSeriesFunc(name, help, label string, fn func() []SeriesSample) {
-	if !labelNameRE.MatchString(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	r.register(name, help, nil, seriesFunc{kind: "counter", label: label, fn: fn})
+// appendShardLabel appends member i's label block, {shard="K"} with K
+// = i+1: 1-based, like the journal's shard labels.
+func appendShardLabel(b []byte, i int) []byte {
+	b = append(b, `{shard="`...)
+	b = strconv.AppendInt(b, int64(i+1), 10)
+	return append(b, '"', '}')
 }
 
-// GaugeSeriesFunc is CounterSeriesFunc for gauge families.
-func (r *Registry) GaugeSeriesFunc(name, help, label string, fn func() []SeriesSample) {
-	if !labelNameRE.MatchString(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
+// ShardCounterFunc registers a counter family over an n-member tier (a
+// sharded ingest fleet's servers, or their sinks) whose member i reads
+// fn(i) at exposition time. A one-member tier is exposed unlabeled,
+// exactly as CounterFunc exposes it; a larger one as one family with a
+// shard="K" sample per member, K ascending. This is the one place a
+// registration depends on the tier size. fn must be safe to call from
+// the scraping goroutine.
+func (r *Registry) ShardCounterFunc(name, help string, n int, fn func(i int) uint64) {
+	if n == 1 {
+		r.CounterFunc(name, help, func() uint64 { return fn(0) })
+		return
 	}
-	r.register(name, help, nil, seriesFunc{kind: "gauge", label: label, fn: fn})
+	r.register(name, help, nil, shardFunc{kind: "counter", n: n,
+		fn: func(i int) float64 { return float64(fn(i)) }})
+}
+
+// ShardGaugeFunc is ShardCounterFunc for gauge families.
+func (r *Registry) ShardGaugeFunc(name, help string, n int, fn func(i int) float64) {
+	if n == 1 {
+		r.GaugeFunc(name, help, func() float64 { return fn(0) })
+		return
+	}
+	r.register(name, help, nil, shardFunc{kind: "gauge", n: n, fn: fn})
 }
 
 // Histogram registers and returns a new histogram with the given bucket

@@ -45,19 +45,16 @@ func TestJournalShardLabelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeriesFuncExposition pins the labelled-family exposition the fleet
-// metrics depend on: one HELP/TYPE header per family, one sample line
-// per shard in callback order, and proper label-value escaping.
-func TestSeriesFuncExposition(t *testing.T) {
+// TestShardFuncExposition pins the per-shard family exposition the
+// fleet metrics depend on: a one-member tier exactly as CounterFunc and
+// GaugeFunc expose it, a larger one with one HELP/TYPE header and one
+// shard="K" sample per member, 1-based and in member order.
+func TestShardFuncExposition(t *testing.T) {
 	r := NewRegistry()
-	r.CounterSeriesFunc("aa_received_total", "per-shard ingest", "shard",
-		func() []SeriesSample {
-			return []SeriesSample{{Label: "1", Value: 10}, {Label: "2", Value: 32}}
-		})
-	r.GaugeSeriesFunc("zz_depth", "queue depth", "shard",
-		func() []SeriesSample {
-			return []SeriesSample{{Label: `we"ird`, Value: 3}}
-		})
+	r.ShardCounterFunc("aa_received_total", "per-shard ingest", 2,
+		func(i int) uint64 { return []uint64{10, 32}[i] })
+	r.ShardGaugeFunc("zz_depth", "queue depth", 1,
+		func(i int) float64 { return 3 + float64(i) })
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -69,20 +66,9 @@ aa_received_total{shard="1"} 10
 aa_received_total{shard="2"} 32
 # HELP zz_depth queue depth
 # TYPE zz_depth gauge
-zz_depth{shard="we\"ird"} 3
+zz_depth 3
 `
 	if sb.String() != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), want)
 	}
-}
-
-// TestSeriesFuncRejectsBadLabel: a malformed label name is a programming
-// error, caught at registration.
-func TestSeriesFuncRejectsBadLabel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CounterSeriesFunc accepted label name \"sh ard\"")
-		}
-	}()
-	NewRegistry().CounterSeriesFunc("x_total", "x", "sh ard", nil)
 }

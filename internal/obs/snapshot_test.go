@@ -17,9 +17,7 @@ func TestSnapshotEnumeration(t *testing.T) {
 	reg.CounterFunc("test_fn_total", "", func() uint64 { return 3 })
 	reg.GaugeFunc("test_fn_gauge", "", func() float64 { return -1 })
 	reg.GaugeWith("test_labeled", "", []Label{{Name: "kind", Value: "x"}}).Set(9)
-	reg.CounterSeriesFunc("test_family_total", "", "shard", func() []SeriesSample {
-		return []SeriesSample{{Label: "1", Value: 4}, {Label: "2", Value: 6}}
-	})
+	reg.ShardCounterFunc("test_family_total", "", 2, func(i int) uint64 { return []uint64{4, 6}[i] })
 	h := reg.Histogram("test_hist_seconds", "", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(20)
@@ -63,9 +61,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b_total", "").Add(1)
 	reg.Counter("a_total", "").Add(2)
-	reg.GaugeSeriesFunc("c_family", "", "shard", func() []SeriesSample {
-		return []SeriesSample{{Label: "1", Value: 1}, {Label: "2", Value: 2}}
-	})
+	reg.ShardGaugeFunc("c_family", "", 2, func(i int) float64 { return float64(i + 1) })
 	first := reg.Snapshot(nil)
 	names := make([]string, len(first))
 	for i, s := range first {

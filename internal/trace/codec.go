@@ -179,13 +179,25 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
+	off int64 // bytes consumed: the header and every whole frame read
 }
 
-// NewReader validates the header and returns a streaming reader.
+// NewReader validates the header and returns a streaming reader. A
+// stream that ends inside the header, having matched the magic so far,
+// is torn — what a crash during file creation leaves — and its error
+// wraps io.ErrUnexpectedEOF; any other stream that is not a binary
+// trace is ErrBadMagic or ErrBadVersion.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	n, err := io.ReadFull(rd.br, hdr[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if !bytes.Equal(hdr[:n], _magic[:n]) {
+			return nil, ErrBadMagic
+		}
+		return nil, fmt.Errorf("trace: torn header (%d bytes): %w", n, io.ErrUnexpectedEOF)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
 	if !bytes.Equal(hdr[:4], _magic[:]) {
@@ -194,29 +206,45 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr[4] != _version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
 	}
-	return &Reader{br: br}, nil
+	rd.off = int64(n)
+	return rd, nil
 }
 
-// Next returns the next report, or io.EOF at end of stream.
+// Next returns the next report, or io.EOF when the stream ends exactly
+// at a record boundary. A stream that ends inside a frame is torn: the
+// error wraps io.ErrUnexpectedEOF, so no reader loop takes it for a
+// clean end.
 func (r *Reader) Next() (Report, error) {
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Report{}, io.EOF
-		}
-		return Report{}, fmt.Errorf("trace: read frame: %w", err)
+	head, err := r.br.Peek(binary.MaxVarintLen64)
+	if len(head) == 0 && err == io.EOF {
+		return Report{}, io.EOF
 	}
-	if n > _maxRecordSize {
-		return Report{}, fmt.Errorf("%w: record size %d", ErrCorrupt, n)
+	n, k := binary.Uvarint(head)
+	if k == 0 {
+		return Report{}, fmt.Errorf("trace: read frame: %w", unexpected(err))
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	if k < 0 || n > _maxRecordSize {
+		return Report{}, fmt.Errorf("%w: record longer than %d bytes", ErrCorrupt, _maxRecordSize)
 	}
-	r.buf = r.buf[:n]
+	frame := k + int(n)
+	if cap(r.buf) < frame {
+		r.buf = make([]byte, frame)
+	}
+	r.buf = r.buf[:frame]
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		return Report{}, fmt.Errorf("trace: read record: %w", err)
+		return Report{}, fmt.Errorf("trace: read record: %w", unexpected(err))
 	}
-	return DecodeReport(r.buf)
+	r.off += int64(frame)
+	return DecodeReport(r.buf[k:])
+}
+
+// unexpected maps the io.EOF of a stream that stops inside a frame to
+// io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // LoadStore reads a whole binary trace stream into a Store.

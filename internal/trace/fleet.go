@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 
 	"github.com/magellan-p2p/magellan/internal/obs"
 )
@@ -14,24 +13,27 @@ type FleetConfig struct {
 	// QueueDepth is each shard server's ingest queue bound; 0 means
 	// DefaultQueueDepth.
 	QueueDepth int
-	// Obs, when non-nil, receives the fleet's ingest metrics. A
-	// single-member fleet registers the historical unlabeled
-	// magellan_ingest_* names, so a daemon with -shards 1 exposes
-	// exactly what the unsharded daemon always has; a larger fleet
-	// registers the same family names with a shard="K" label (1-based,
-	// matching journal shard labels) carrying one sample per member.
+	// Obs, when non-nil, receives the fleet's ingest metrics: the
+	// magellan_ingest_* families, through obs.Registry's shard helpers
+	// (unlabeled for a single-member fleet, so a daemon with -shards 1
+	// exposes exactly what the unsharded daemon always has; one
+	// shard="K" sample per member otherwise, K 1-based like the journal's
+	// shard labels), and one magellan_sink_submit_duration_seconds
+	// histogram pooling every member's sink submits. Telemetry is
+	// measurement-only: enabling it changes no ingest behavior.
 	Obs *obs.Registry
 	// Journal, when non-nil, records every member's server-plane
 	// lifecycle events, labeled with the member's 1-based shard (a
-	// single-member fleet records unlabeled events, matching a
-	// standalone server).
+	// single-member fleet records unlabeled events).
 	Journal *obs.Journal
 	// Observe, when non-nil, receives every report any member's sink
 	// accepted, with the member's 0-based shard index — the hook the
 	// live analysis plane subscribes through. Calls arrive concurrently
 	// from each member's ingest goroutine; the observer synchronizes.
 	// Measurement-only: observers see reports, they cannot influence
-	// ingestion.
+	// ingestion. A slow observer stalls its member's ingest worker (the
+	// bounded queue absorbs the stall and sheds with accounting), so it
+	// should be quick or shed internally.
 	Observe func(shard int, r Report)
 }
 
@@ -42,24 +44,24 @@ type Fleet struct {
 	servers []*Server
 }
 
-// NewFleet starts one server per listen address, in shard order. Every
-// address is bound before the first sink is built, so a busy port fails
-// the fleet before any sink creates a file. sinkFor builds shard K's
-// sink (called with K ascending from 0); on any failure every socket and
-// already-started member is closed and the error returned.
+// NewFleet starts one server per listen address, in shard order; it is
+// the only way to start a trace server. Every address is bound before
+// the first sink is built, so a busy port fails the fleet before any
+// sink creates a file, and every sink is built (sinkFor is called with
+// K ascending from 0) before the first member starts, so a failing sink
+// fails the fleet before any datagram is read. On failure every socket
+// is closed and the error returned.
 func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetConfig) (_ *Fleet, err error) {
 	n := len(addrs)
 	if n == 0 {
 		return nil, errors.New("trace: fleet needs at least one listen address")
 	}
 	conns := make([]*net.UDPConn, 0, n)
-	f := &Fleet{}
 	defer func() {
 		if err != nil {
-			for _, c := range conns[len(f.servers):] {
+			for _, c := range conns {
 				c.Close() //magellan:allow erridle — best-effort cleanup; the listen or sink error wins
 			}
-			f.Close() //magellan:allow erridle — best-effort cleanup; the listen or sink error wins
 		}
 	}()
 	for i, addr := range addrs {
@@ -69,84 +71,64 @@ func NewFleet(addrs []string, sinkFor func(shard int) (Sink, error), cfg FleetCo
 		}
 		conns = append(conns, conn)
 	}
-	// Sink-submit latency is pooled into one fleet-wide histogram:
-	// per-shard latency families would multiply bucket series without
-	// changing any decision the dashboards make. It must exist before
-	// the first member starts — the ingest goroutine reads the field
-	// unsynchronized, by design.
-	var latency *obs.Histogram
-	if n > 1 && cfg.Obs != nil {
-		latency = cfg.Obs.Histogram("magellan_sink_submit_duration_seconds",
-			"Wall time of each sink submit across the fleet, successful or not.",
-			obs.DefLatencyBuckets())
-	}
-	for i, conn := range conns {
-		sink, err := sinkFor(i)
-		if err != nil {
+	sinks := make([]Sink, n)
+	for i := range sinks {
+		if sinks[i], err = sinkFor(i); err != nil {
 			return nil, fmt.Errorf("trace fleet: shard %d sink: %w", i, err)
 		}
-		scfg := ServerConfig{
-			QueueDepth: cfg.QueueDepth,
-			Journal:    cfg.Journal,
+	}
+	m := member{queueDepth: cfg.QueueDepth, journal: cfg.Journal}
+	if m.queueDepth <= 0 {
+		m.queueDepth = DefaultQueueDepth
+	}
+	if cfg.Obs != nil {
+		// One histogram pools every member's submits: per-shard latency
+		// families would multiply bucket series without changing any
+		// decision the dashboards make.
+		m.latency = cfg.Obs.Histogram("magellan_sink_submit_duration_seconds",
+			"Wall time of each sink submit, successful or not.",
+			obs.DefLatencyBuckets())
+	}
+	f := &Fleet{servers: make([]*Server, n)}
+	for i, conn := range conns {
+		mi := m
+		if n > 1 {
+			mi.shard = int32(i + 1)
 		}
 		if cfg.Observe != nil {
-			shard := i
-			scfg.Observe = func(r Report) { cfg.Observe(shard, r) }
+			mi.observe = func(r Report) { cfg.Observe(i, r) }
 		}
-		if n == 1 {
-			// A one-member fleet is the standalone server: unlabeled
-			// metrics, unlabeled journal events.
-			scfg.Obs = cfg.Obs
-		} else {
-			scfg.Shard = int32(i + 1)
-			scfg.SinkLatency = latency
-		}
-		f.servers = append(f.servers, serve(conn, sink, scfg))
+		f.servers[i] = serve(conn, sinks[i], mi)
 	}
-	if n > 1 && cfg.Obs != nil {
-		registerFleetMetrics(cfg.Obs, f)
+	if cfg.Obs != nil {
+		f.registerMetrics(cfg.Obs, m.queueDepth)
 	}
 	return f, nil
 }
 
-// registerFleetMetrics exposes the same ingest accounting a standalone
-// server registers, as one labeled family per metric with a shard="K"
-// sample per member (K 1-based, fixed order — exposition stays
-// deterministic). The samples read the same atomics Stats reads, so
-// scraping never perturbs ingestion. (The pooled sink-latency histogram
-// is wired in NewFleet, before any member's ingest goroutine exists.)
-func registerFleetMetrics(reg *obs.Registry, f *Fleet) {
-	labels := make([]string, len(f.servers))
-	for i := range f.servers {
-		labels[i] = strconv.Itoa(i + 1)
-	}
-	series := func(sample func(s *Server) float64) func() []obs.SeriesSample {
-		return func() []obs.SeriesSample {
-			out := make([]obs.SeriesSample, len(f.servers))
-			for i, s := range f.servers {
-				out[i] = obs.SeriesSample{Label: labels[i], Value: sample(s)}
-			}
-			return out
-		}
-	}
-	reg.CounterSeriesFunc("magellan_ingest_received_total",
-		"Reports decoded, validated, and accepted by the shard's sink.", "shard",
-		series(func(s *Server) float64 { return float64(s.received.Load()) }))
-	reg.CounterSeriesFunc("magellan_ingest_rejected_total",
-		"Datagrams dropped for failing decode or validation.", "shard",
-		series(func(s *Server) float64 { return float64(s.rejected.Load()) }))
-	reg.CounterSeriesFunc("magellan_ingest_queue_drops_total",
-		"Datagrams shed because the shard's ingest queue was full.", "shard",
-		series(func(s *Server) float64 { return float64(s.queueDrops.Load()) }))
-	reg.CounterSeriesFunc("magellan_ingest_sink_errors_total",
-		"Well-formed reports the shard's sink refused.", "shard",
-		series(func(s *Server) float64 { return float64(s.sinkErrors.Load()) }))
-	reg.GaugeSeriesFunc("magellan_ingest_queue_depth",
-		"Datagrams currently waiting in the shard's ingest queue.", "shard",
-		series(func(s *Server) float64 { return float64(s.QueueLen()) }))
-	reg.GaugeSeriesFunc("magellan_ingest_queue_capacity",
-		"Bound of the shard's ingest queue.", "shard",
-		series(func(s *Server) float64 { return float64(s.QueueCap()) }))
+// registerMetrics exposes every member's ingest accounting. The samples
+// read the same atomics Stats reads, so scraping never perturbs
+// ingestion.
+func (f *Fleet) registerMetrics(reg *obs.Registry, depth int) {
+	n, srv := len(f.servers), f.servers
+	reg.ShardCounterFunc("magellan_ingest_received_total",
+		"Reports decoded, validated, and accepted by the sink.", n,
+		func(i int) uint64 { return srv[i].received.Load() })
+	reg.ShardCounterFunc("magellan_ingest_rejected_total",
+		"Datagrams dropped for failing decode or validation.", n,
+		func(i int) uint64 { return srv[i].rejected.Load() })
+	reg.ShardCounterFunc("magellan_ingest_queue_drops_total",
+		"Datagrams shed because the ingest queue was full.", n,
+		func(i int) uint64 { return srv[i].queueDrops.Load() })
+	reg.ShardCounterFunc("magellan_ingest_sink_errors_total",
+		"Well-formed reports the sink refused.", n,
+		func(i int) uint64 { return srv[i].sinkErrors.Load() })
+	reg.ShardGaugeFunc("magellan_ingest_queue_depth",
+		"Datagrams currently waiting in the ingest queue.", n,
+		func(i int) float64 { return float64(srv[i].QueueLen()) })
+	reg.ShardGaugeFunc("magellan_ingest_queue_capacity",
+		"Bound of the ingest queue.", n,
+		func(int) float64 { return float64(depth) })
 }
 
 // Len returns the fleet size.

@@ -143,11 +143,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 // server.
 func TestServerManyClients(t *testing.T) {
 	store := NewStore(10 * time.Minute)
-	srv, err := NewServer("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startServer(t, store, FleetConfig{})
 
 	const clients = 8
 	const perClient = 100

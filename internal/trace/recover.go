@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,60 +35,30 @@ type ScanResult struct {
 // how much of it is intact. A stream that is not a binary trace at all
 // (wrong magic, unsupported version) is an error, not a torn tail:
 // truncation would destroy a file that was never ours to repair. A
-// short header is torn — that is what a crash during file creation
-// leaves behind.
+// short header that matches the magic so far is torn — that is what a
+// crash during file creation leaves behind.
 func ScanStream(r io.Reader) (ScanResult, error) {
-	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
-
-	var hdr [5]byte
-	n, err := io.ReadFull(cr, hdr[:])
+	rd, err := NewReader(r)
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return ScanResult{Torn: true, TailErr: err}, nil
+	}
 	if err != nil {
-		if n == 0 || bytes.Equal(hdr[:n], _magic[:n]) {
-			// Empty file or a prefix of the real header: creation was
-			// interrupted.
-			return ScanResult{Torn: true, TailErr: fmt.Errorf("trace: torn header (%d bytes)", n)}, nil
-		}
-		return ScanResult{}, ErrBadMagic
+		return ScanResult{}, err
 	}
-	if !bytes.Equal(hdr[:4], _magic[:]) {
-		return ScanResult{}, ErrBadMagic
-	}
-	if hdr[4] != _version {
-		return ScanResult{}, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
-	}
-
-	res := ScanResult{ValidBytes: cr.n}
-	var buf []byte
+	res := ScanResult{ValidBytes: rd.off}
 	for {
-		frameLen, err := binary.ReadUvarint(cr)
-		if errors.Is(err, io.EOF) && cr.n == res.ValidBytes {
+		_, err := rd.Next()
+		if errors.Is(err, io.EOF) {
 			// Clean end exactly at a record boundary.
 			return res, nil
-		}
-		if err == nil && frameLen > _maxRecordSize {
-			err = fmt.Errorf("%w: record size %d", ErrCorrupt, frameLen)
 		}
 		if err != nil {
 			res.Torn = true
 			res.TailErr = err
 			return res, nil
 		}
-		if cap(buf) < int(frameLen) {
-			buf = make([]byte, frameLen)
-		}
-		buf = buf[:frameLen]
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			res.Torn = true
-			res.TailErr = err
-			return res, nil
-		}
-		if _, err := DecodeReport(buf); err != nil {
-			res.Torn = true
-			res.TailErr = err
-			return res, nil
-		}
 		res.Records++
-		res.ValidBytes = cr.n
+		res.ValidBytes = rd.off
 	}
 }
 
@@ -139,26 +106,4 @@ func RecoverFile(path string) (RecoverResult, error) {
 		return RecoverResult{}, fmt.Errorf("trace: recover %s: sync: %w", path, err)
 	}
 	return res, nil
-}
-
-// countingReader tracks how many bytes have been consumed from the
-// underlying buffered reader, giving ScanStream exact record
-// boundaries.
-type countingReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
 }

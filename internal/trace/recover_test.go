@@ -226,3 +226,42 @@ func TestRecoveryCorruptInteriorRecord(t *testing.T) {
 		t.Errorf("corrupt-tail scan: %+v (want torn at %d with 5 records)", res, boundary)
 	}
 }
+
+// tornAfterPrefix cuts a two-record stream just past the second
+// record's length prefix: the header, the whole first record, and a
+// frame length whose payload never came. It returns the cut stream and
+// the boundary where the first record ends.
+func tornAfterPrefix(t *testing.T) (cut []byte, boundary int64) {
+	t.Helper()
+	data := tracedBytes(t, 2)
+	boundary = prevBoundary(t, data, int64(len(data)))
+	_, k := binary.Uvarint(data[boundary:])
+	return data[:boundary+int64(k)], boundary
+}
+
+// TestTornAfterLengthPrefix: a stream cut right after a frame's length
+// prefix is torn for every reader, never a clean end.
+func TestTornAfterLengthPrefix(t *testing.T) {
+	data, boundary := tornAfterPrefix(t)
+
+	if _, err := LoadStore(bytes.NewReader(data), 0); err == nil {
+		t.Error("LoadStore read a torn stream as a clean one")
+	}
+	if _, _, err := MergeStreams(0, MergeOptions{}, bytes.NewReader(data)); err == nil {
+		t.Error("strict MergeStreams accepted a torn stream")
+	}
+	_, stats, err := MergeStreams(0, MergeOptions{Tolerant: true}, bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("tolerant MergeStreams: %v", err)
+	}
+	if stats.TornSources != 1 || stats.Records != 1 {
+		t.Errorf("tolerant merge stats %+v, want 1 torn source and its 1 intact record", stats)
+	}
+	res, err := ScanStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Torn || res.Records != 1 || res.ValidBytes != boundary {
+		t.Errorf("scan %+v, want torn at %d after 1 record", res, boundary)
+	}
+}

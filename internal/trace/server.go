@@ -18,42 +18,29 @@ import (
 // a UDP measurement plane has nobody to push back on.
 const DefaultQueueDepth = 4096
 
-// ServerConfig tunes a Server beyond its defaults.
-type ServerConfig struct {
-	// QueueDepth is the ingest queue bound; 0 means DefaultQueueDepth.
-	QueueDepth int
-	// Obs, when non-nil, receives the server's ingest metrics
-	// (magellan_ingest_*) and a sink-submit latency histogram.
-	// Telemetry is measurement-only: enabling it changes no ingest
-	// behavior, only what is observable about it.
-	Obs *obs.Registry
-	// Journal, when non-nil, records server-plane lifecycle events:
+// member is what a Fleet hands each server it starts. It is fixed
+// before the server's goroutines start, and they read it unsynchronized.
+type member struct {
+	// queueDepth bounds the ingest queue.
+	queueDepth int
+	// journal, when non-nil, records server-plane lifecycle events:
 	// received/persisted for accepted datagrams, rejected for
 	// decode/validation failures, queue_drop for sheds, sink_error for
-	// refused reports. The daemon passes an obs.NewWallJournal; events
-	// for datagrams that never decoded (sheds, rejects) carry what is
-	// known — an empty ID — rather than inventing one.
-	Journal *obs.Journal
-	// Shard is the 1-based shard label journal events carry when the
-	// server is one member of a sharded ingest fleet; 0 (the default)
-	// records unlabeled events, exactly as a standalone server always
-	// has.
-	Shard int32
-	// SinkLatency, when non-nil, observes the wall time of every sink
-	// submit. A fleet passes one shared histogram to all members so
-	// submit latency pools fleet-wide; it must be set here — before the
-	// ingest goroutine starts — never assigned after construction. When
-	// Obs is also set, the registry's own histogram wins.
-	SinkLatency *obs.Histogram
-	// Observe, when non-nil, receives every report the sink accepted,
-	// after the successful submit and from the ingest goroutine — the
-	// subscription hook the live analysis plane attaches to. Like
-	// SinkLatency it must be set before construction, and like every
-	// other observer it is measurement-only: it sees reports, it cannot
-	// reject or reorder them. A slow Observe stalls the ingest worker
-	// (the bounded queue absorbs the stall and sheds with accounting),
-	// so implementations should be quick or shed internally.
-	Observe func(r Report)
+	// refused reports. Events for datagrams that never decoded (sheds,
+	// rejects) carry what is known — an empty ID — rather than
+	// inventing one. The disabled (nil) recorder costs nothing.
+	journal *obs.Journal
+	// shard is the 1-based label the member's journal events carry; 0
+	// in a one-member fleet, whose events are unlabeled.
+	shard int32
+	// latency, when non-nil, observes the wall time of every sink
+	// submit; the fleet pools one histogram across its members. nil
+	// means telemetry is off, and the ingest loop reads no clock.
+	latency *obs.Histogram
+	// observe, when non-nil, receives every report the sink accepted,
+	// after the successful submit and from the ingest goroutine (see
+	// FleetConfig.Observe).
+	observe func(r Report)
 }
 
 // ServerStats breaks the server's datagram accounting down by outcome.
@@ -76,17 +63,18 @@ func (st ServerStats) Dropped() uint64 {
 	return st.Rejected + st.QueueDrops + st.SinkErrors
 }
 
-// Server is the standalone trace server of Sec. 3.2: it receives one
-// binary-encoded report per UDP datagram and submits it to a sink.
-// Ingestion is two-stage — the receive loop copies datagrams into a
-// bounded queue and a worker decodes, validates, and submits — so a slow
-// sink costs queue drops (counted) instead of kernel-level receive-buffer
-// losses (invisible). Datagrams that fail to decode or validate are
-// counted and dropped: a measurement pipeline must survive malformed
-// input.
+// Server is one trace server of Sec. 3.2, a member of a Fleet: it
+// receives one binary-encoded report per UDP datagram and submits it to
+// a sink. Ingestion is two-stage — the receive loop copies datagrams
+// into a bounded queue and a worker decodes, validates, and submits —
+// so a slow sink costs queue drops (counted) instead of kernel-level
+// receive-buffer losses (invisible). Datagrams that fail to decode or
+// validate are counted and dropped: a measurement pipeline must survive
+// malformed input.
 type Server struct {
-	conn *net.UDPConn
-	sink Sink
+	conn   *net.UDPConn
+	sink   Sink
+	member // what the fleet handed this server
 
 	queue chan []byte
 	pool  sync.Pool
@@ -96,40 +84,9 @@ type Server struct {
 	queueDrops atomic.Uint64
 	sinkErrors atomic.Uint64
 
-	// sinkLatency, when non-nil, observes the wall time of each sink
-	// submit. nil means telemetry is disabled and the ingest loop reads
-	// no clock at all.
-	sinkLatency *obs.Histogram
-
-	// journal, when non-nil, records per-datagram lifecycle events
-	// (nil-safe: the disabled recorder costs nothing on the hot path).
-	// shard is the 1-based fleet label those events carry; 0 unsharded.
-	journal *obs.Journal
-	shard   int32
-
-	// observe, when non-nil, is called with every accepted report after
-	// the sink submit succeeds (see ServerConfig.Observe).
-	observe func(r Report)
-
 	recvWG sync.WaitGroup
 	workWG sync.WaitGroup
 	once   sync.Once
-}
-
-// NewServer binds a UDP socket on addr (e.g. "127.0.0.1:0") and starts
-// the receive loop with default settings. Close must be called to release
-// the socket.
-func NewServer(addr string, sink Sink) (*Server, error) {
-	return NewServerWithConfig(addr, sink, ServerConfig{})
-}
-
-// NewServerWithConfig is NewServer with explicit tuning.
-func NewServerWithConfig(addr string, sink Sink, cfg ServerConfig) (*Server, error) {
-	conn, err := listenUDP(addr)
-	if err != nil {
-		return nil, err
-	}
-	return serve(conn, sink, cfg), nil
 }
 
 // listenUDP binds a trace server's socket.
@@ -152,27 +109,18 @@ func listenUDP(addr string) (*net.UDPConn, error) {
 	return conn, nil
 }
 
-// serve starts the receive and ingest loops on a bound socket.
-func serve(conn *net.UDPConn, sink Sink, cfg ServerConfig) *Server {
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
+// serve starts a fleet member's receive and ingest loops on a bound
+// socket.
+func serve(conn *net.UDPConn, sink Sink, m member) *Server {
 	s := &Server{
-		conn:  conn,
-		sink:  sink,
-		queue: make(chan []byte, depth),
+		conn:   conn,
+		sink:   sink,
+		member: m,
+		queue:  make(chan []byte, m.queueDepth),
 		pool: sync.Pool{New: func() any {
 			buf := make([]byte, 0, 64*1024)
 			return &buf
 		}},
-	}
-	s.journal = cfg.Journal
-	s.shard = cfg.Shard
-	s.sinkLatency = cfg.SinkLatency
-	s.observe = cfg.Observe
-	if cfg.Obs != nil {
-		registerIngestMetrics(cfg.Obs, s, depth)
 	}
 	s.recvWG.Add(1)
 	go s.recvLoop()
@@ -181,42 +129,8 @@ func serve(conn *net.UDPConn, sink Sink, cfg ServerConfig) *Server {
 	return s
 }
 
-// registerIngestMetrics exposes the server's accounting. The counters
-// sample the same atomics Stats reads, so scraping is lock-free and
-// never perturbs ingestion.
-func registerIngestMetrics(reg *obs.Registry, s *Server, depth int) {
-	reg.CounterFunc("magellan_ingest_received_total",
-		"Reports decoded, validated, and accepted by the sink.",
-		s.received.Load)
-	reg.CounterFunc("magellan_ingest_rejected_total",
-		"Datagrams dropped for failing decode or validation.",
-		s.rejected.Load)
-	reg.CounterFunc("magellan_ingest_queue_drops_total",
-		"Datagrams shed because the ingest queue was full.",
-		s.queueDrops.Load)
-	reg.CounterFunc("magellan_ingest_sink_errors_total",
-		"Well-formed reports the sink refused.",
-		s.sinkErrors.Load)
-	reg.GaugeFunc("magellan_ingest_queue_depth",
-		"Datagrams currently waiting in the ingest queue.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("magellan_ingest_queue_capacity",
-		"Bound of the ingest queue.",
-		func() float64 { return float64(depth) })
-	s.sinkLatency = reg.Histogram("magellan_sink_submit_duration_seconds",
-		"Wall time of each sink submit, successful or not.",
-		obs.DefLatencyBuckets())
-}
-
 // Addr returns the bound address, useful when listening on port 0.
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
-
-// Received returns the number of successfully ingested reports.
-func (s *Server) Received() uint64 { return s.received.Load() }
-
-// Dropped returns the number of datagrams that did not reach the sink
-// (decode/validation failures, queue sheds, or sink errors).
-func (s *Server) Dropped() uint64 { return s.Stats().Dropped() }
 
 // Stats returns the full per-outcome accounting.
 func (s *Server) Stats() ServerStats {
@@ -231,9 +145,6 @@ func (s *Server) Stats() ServerStats {
 // QueueLen returns the number of datagrams currently waiting in the
 // ingest queue (a point-in-time read; safe from any goroutine).
 func (s *Server) QueueLen() int { return len(s.queue) }
-
-// QueueCap returns the ingest queue bound.
-func (s *Server) QueueCap() int { return cap(s.queue) }
 
 // Close stops the receive loop, drains the ingest queue, and releases the
 // socket. It is safe to call multiple times.
@@ -299,10 +210,10 @@ func (s *Server) ingestLoop() {
 			s.journal.RecordNowShard(obs.StageServer, obs.VerdictReceived, id, s.shard)
 		}
 		var submitErr error
-		if s.sinkLatency != nil {
+		if s.latency != nil {
 			tm := obs.StartTimer()
 			submitErr = s.sink.Submit(rep)
-			tm.ObserveSeconds(s.sinkLatency)
+			tm.ObserveSeconds(s.latency)
 		} else {
 			submitErr = s.sink.Submit(rep)
 		}

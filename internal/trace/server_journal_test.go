@@ -14,11 +14,7 @@ func TestServerJournal(t *testing.T) {
 	journal := obs.NewWallJournal(256)
 	store := NewStore(10 * time.Minute)
 	store.SetJournal(journal)
-	srv, err := NewServerWithConfig("127.0.0.1:0", store, ServerConfig{Journal: journal})
-	if err != nil {
-		t.Fatalf("NewServerWithConfig: %v", err)
-	}
-	defer srv.Close()
+	srv := startServer(t, store, FleetConfig{Journal: journal})
 
 	client, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -40,7 +36,7 @@ func TestServerJournal(t *testing.T) {
 		t.Fatalf("write invalid: %v", err)
 	}
 
-	waitFor(t, func() bool { return srv.Received() == n && srv.Dropped() == 2 })
+	waitFor(t, func() bool { st := srv.Stats(); return st.Received == n && st.Dropped() == 2 })
 
 	counts := make(map[obs.Verdict]int)
 	for _, ev := range journal.Events() {

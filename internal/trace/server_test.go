@@ -5,13 +5,21 @@ import (
 	"time"
 )
 
+// startServer runs a one-member fleet on an ephemeral loopback port
+// and returns its server; the fleet closes when the test ends.
+func startServer(t *testing.T, sink Sink, cfg FleetConfig) *Server {
+	t.Helper()
+	f, err := NewFleet(FleetAddrs("127.0.0.1", 1), func(int) (Sink, error) { return sink, nil }, cfg)
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f.Server(0)
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	store := NewStore(10 * time.Minute)
-	srv, err := NewServer("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close()
+	srv := startServer(t, store, FleetConfig{})
 
 	client, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -27,11 +35,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	waitFor(t, func() bool { return store.Len() == n })
-	if got := srv.Received(); got != n {
-		t.Errorf("Received = %d, want %d", got, n)
-	}
-	if got := srv.Dropped(); got != 0 {
-		t.Errorf("Dropped = %d, want 0", got)
+	if st := srv.Stats(); st.Received != n || st.Dropped() != 0 {
+		t.Errorf("stats %+v, want %d received and none dropped", st, n)
 	}
 
 	// The stored reports survive the wire intact.
@@ -48,11 +53,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 func TestServerDropsGarbage(t *testing.T) {
 	store := NewStore(10 * time.Minute)
-	srv, err := NewServer("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close()
+	srv := startServer(t, store, FleetConfig{})
 
 	client, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -75,17 +76,14 @@ func TestServerDropsGarbage(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	waitFor(t, func() bool { return srv.Received() == 1 && srv.Dropped() == 2 })
+	waitFor(t, func() bool { st := srv.Stats(); return st.Received == 1 && st.Dropped() == 2 })
 	if store.Len() != 1 {
 		t.Errorf("store holds %d reports, want only the valid one", store.Len())
 	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Discard)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	srv := startServer(t, Discard, FleetConfig{})
 	if err := srv.Close(); err != nil {
 		t.Errorf("first Close: %v", err)
 	}
@@ -95,11 +93,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestClientRejectsOversizedReport(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startServer(t, Discard, FleetConfig{})
 	client, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -60,8 +60,8 @@ func ShardOf(addr isp.Addr, shards int) int {
 // UUSee clients stuck to the collection server their address hashed
 // to). It is safe for concurrent use when the underlying sinks are.
 type Balancer struct {
-	sinks  []Sink
-	routed []atomic.Uint64
+	sinks []Sink
+	sent  []atomic.Uint64
 }
 
 var _ Sink = (*Balancer)(nil)
@@ -73,7 +73,7 @@ func NewBalancer(sinks ...Sink) *Balancer {
 	if len(sinks) == 0 {
 		panic("trace: balancer over zero shards")
 	}
-	return &Balancer{sinks: sinks, routed: make([]atomic.Uint64, len(sinks))}
+	return &Balancer{sinks: sinks, sent: make([]atomic.Uint64, len(sinks))}
 }
 
 // Shards returns the fleet size.
@@ -82,60 +82,49 @@ func (b *Balancer) Shards() int { return len(b.sinks) }
 // Submit implements Sink: the report goes to its owning shard.
 func (b *Balancer) Submit(r Report) error {
 	i := ShardOf(r.Addr, len(b.sinks))
-	b.routed[i].Add(1)
-	return b.sinks[i].Submit(r)
+	if err := b.sinks[i].Submit(r); err != nil {
+		return err
+	}
+	b.sent[i].Add(1)
+	return nil
 }
 
-// Routed returns the number of reports routed to each shard, in shard
-// order.
-func (b *Balancer) Routed() []uint64 {
-	out := make([]uint64, len(b.routed))
-	for i := range b.routed {
-		out[i] = b.routed[i].Load()
+// Sent returns the number of reports each shard's sink accepted, in
+// shard order.
+func (b *Balancer) Sent() []uint64 {
+	out := make([]uint64, len(b.sent))
+	for i := range b.sent {
+		out[i] = b.sent[i].Load()
 	}
 	return out
 }
 
 // ShardedClient routes reports to a live fleet of trace servers over
-// UDP, one client socket per shard. Like Client, it is not safe for
-// concurrent use; give each sending goroutine its own.
+// UDP: a Balancer over one Client per shard. Like Client, it is not
+// safe for concurrent use; give each sending goroutine its own.
 type ShardedClient struct {
+	*Balancer
 	clients []*Client
-	sent    []uint64
 }
-
-var _ Sink = (*ShardedClient)(nil)
 
 // DialSharded connects one client per shard address, in shard order.
 func DialSharded(addrs ...string) (*ShardedClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("trace: sharded client needs at least one address")
 	}
-	c := &ShardedClient{sent: make([]uint64, len(addrs))}
-	for _, addr := range addrs {
+	c := &ShardedClient{}
+	sinks := make([]Sink, len(addrs))
+	for i, addr := range addrs {
 		cl, err := Dial(addr)
 		if err != nil {
 			c.Close() //magellan:allow erridle — best-effort cleanup; the dial error wins
 			return nil, err
 		}
 		c.clients = append(c.clients, cl)
+		sinks[i] = cl
 	}
+	c.Balancer = NewBalancer(sinks...)
 	return c, nil
-}
-
-// Submit implements Sink: the report ships to its owning shard's server.
-func (c *ShardedClient) Submit(r Report) error {
-	i := ShardOf(r.Addr, len(c.clients))
-	if err := c.clients[i].Submit(r); err != nil {
-		return err
-	}
-	c.sent[i]++
-	return nil
-}
-
-// Sent returns the number of reports sent to each shard, in shard order.
-func (c *ShardedClient) Sent() []uint64 {
-	return slices.Clone(c.sent)
 }
 
 // Close releases every shard socket; the first error wins but all are

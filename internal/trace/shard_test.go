@@ -115,12 +115,12 @@ func TestRepartitionEquivalence(t *testing.T) {
 				t.Fatalf("shards=%d: Submit: %v", n, err)
 			}
 		}
-		var routed uint64
-		for _, c := range b.Routed() {
-			routed += c
+		var sent uint64
+		for _, c := range b.Sent() {
+			sent += c
 		}
-		if routed != uint64(len(reports)) {
-			t.Fatalf("shards=%d: routed %d of %d reports", n, routed, len(reports))
+		if sent != uint64(len(reports)) {
+			t.Fatalf("shards=%d: sent %d of %d reports", n, sent, len(reports))
 		}
 		merged, err := MergeStores(stores...)
 		if err != nil {
@@ -156,13 +156,17 @@ func TestBalancerRoutesByShardOf(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	routed := b.Routed()
+	// A report the owning sink refuses is returned, not counted.
+	if err := b.Submit(sampleReport(0, _t0)); err == nil {
+		t.Error("balancer swallowed a sink's refusal")
+	}
+	sent := b.Sent()
 	for i := range stores {
 		if stores[i].Len() != counts[i] {
 			t.Errorf("shard %d holds %d reports, ShardOf assigned %d", i, stores[i].Len(), counts[i])
 		}
-		if routed[i] != uint64(counts[i]) {
-			t.Errorf("shard %d routed counter %d, want %d", i, routed[i], counts[i])
+		if sent[i] != uint64(counts[i]) {
+			t.Errorf("shard %d sent counter %d, want %d", i, sent[i], counts[i])
 		}
 	}
 }

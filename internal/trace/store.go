@@ -33,10 +33,6 @@ type Store struct {
 	// emission) and are stamped with report time, never wall clock, so
 	// recording stays deterministic for seeded runs. Measurement-only.
 	journal *obs.Journal
-
-	// observer, when non-nil, is called with every accepted report,
-	// outside the store lock (see SetObserver).
-	observer func(Report)
 }
 
 // NewStore builds a store with the given epoch interval (0 means
@@ -89,18 +85,6 @@ func (s *Store) EpochStart(epoch int64) time.Time {
 	return time.Unix(0, epoch*int64(s.interval)).UTC()
 }
 
-// SetObserver attaches a post-accept report observer: fn is called with
-// every report Submit accepts, after the store lock is released and on
-// the submitting goroutine. The live analysis plane uses it to
-// subscribe to in-process store sinks the way FleetConfig.Observe
-// subscribes to a UDP fleet. Attach before the first Submit.
-// Measurement-only: the observer sees reports, it cannot reject them.
-func (s *Store) SetObserver(fn func(Report)) {
-	s.mu.Lock()
-	s.observer = fn
-	s.mu.Unlock()
-}
-
 // Submit implements Sink.
 func (s *Store) Submit(r Report) error {
 	if err := r.Validate(); err != nil {
@@ -111,12 +95,8 @@ func (s *Store) Submit(r Report) error {
 	s.epochs[e] = append(s.epochs[e], r)
 	s.count++
 	j := s.journal
-	fn := s.observer
 	s.mu.Unlock()
 	j.Record(r.Time.UnixNano(), obs.StageStore, obs.VerdictAccepted, journalID(&r, s.interval))
-	if fn != nil {
-		fn(r)
-	}
 	return nil
 }
 

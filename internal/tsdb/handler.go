@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -61,7 +60,7 @@ func Handler(db *DB) http.Handler {
 				idx.Series = []SeriesInfo{}
 			}
 			idx.SeriesLen = len(idx.Series)
-			writeJSON(w, idx)
+			obs.WriteJSON(w, idx)
 			return
 		}
 
@@ -106,7 +105,7 @@ func Handler(db *DB) http.Handler {
 			if pts == nil {
 				pts = []Point{}
 			}
-			writeJSON(w, historyRange{Metric: metric, Points: pts})
+			obs.WriteJSON(w, historyRange{Metric: metric, Points: pts})
 		case "rate", "delta":
 			if since <= 0 {
 				http.Error(w, "rate/delta queries need since= (the window)", http.StatusBadRequest)
@@ -123,13 +122,9 @@ func Handler(db *DB) http.Handler {
 			if ok {
 				out.Value = &v
 			}
-			writeJSON(w, out)
+			obs.WriteJSON(w, out)
 		default:
 			http.Error(w, "bad query parameter (range|rate|delta)", http.StatusBadRequest)
 		}
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	_ = json.NewEncoder(w).Encode(v) //magellan:allow erridle — a failed poll response means the poller hung up; nothing to do
 }
