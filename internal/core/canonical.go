@@ -86,6 +86,6 @@ func BatchEpochMetrics(store *trace.Store, db *isp.Database, cfg Config) ([]*Epo
 	if ix.NumEpochs() == 0 {
 		return nil, fmt.Errorf("core: trace store is empty")
 	}
-	outs, _ := runSealed(ix, onlineKernel(ix.Interval(), db, cfg))
+	outs, _ := runSealed(ix, onlineKernel(ix.Interval(), db, cfg), false)
 	return outs, nil
 }

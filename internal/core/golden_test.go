@@ -342,3 +342,34 @@ func TestKernelWarmAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchEpochMetricsFoldsNoDays: the live analyzer's oracle reads no
+// day counts, so its pool folds no Fig. 1B day sets, and its epochs
+// encode exactly as those of a pool that does fold them.
+func TestBatchEpochMetricsFoldsNoDays(t *testing.T) {
+	store, db := scaledTrace(t)
+	cfg := Config{Seed: 3, Workers: 2}
+	outs, err := BatchEpochMetrics(store, db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := store.Seal()
+	folded, foldedScratches := runSealed(ix, onlineKernel(ix.Interval(), db, cfg), true)
+	_, scratches := runSealed(ix, onlineKernel(ix.Interval(), db, cfg), false)
+	for w, sc := range scratches {
+		if len(sc.days) != 0 {
+			t.Errorf("worker %d holds %d day sets, want none", w, len(sc.days))
+		}
+	}
+	if len(foldedScratches[0].days)+len(foldedScratches[1].days) == 0 {
+		t.Fatal("the folding pool folded no day sets")
+	}
+	if len(outs) != len(folded) {
+		t.Fatalf("%d epochs, the folding pool %d", len(outs), len(folded))
+	}
+	for i := range outs {
+		if !bytes.Equal(AppendCanonical(nil, outs[i]), AppendCanonical(nil, folded[i])) {
+			t.Errorf("epoch %d encodes differently from the folding pool's", outs[i].Epoch)
+		}
+	}
+}

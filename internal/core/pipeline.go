@@ -261,7 +261,7 @@ func Analyze(store *trace.Store, db *isp.Database, cfg Config) (*Results, error)
 	specs := resolveSnapshots(ix.Interval(), epochs, cfg.Snapshots)
 
 	epochsSpan := cfg.Tracer.Start("epochs")
-	outs, scratches := runSealed(ix, &kernel{ix.Interval(), db, cfg, snapshotLabels(ix.Interval(), specs)})
+	outs, scratches := runSealed(ix, &kernel{ix.Interval(), db, cfg, snapshotLabels(ix.Interval(), specs)}, true)
 	epochsSpan.End()
 
 	// Flight recorder: the consumption events are recorded only now, from

@@ -69,7 +69,7 @@ type poolJob struct {
 	out     *EpochMetrics
 }
 
-func startPool(k *kernel) *pool {
+func startPool(k *kernel, foldDays bool) *pool {
 	p := &pool{
 		jobs:      make(chan *poolJob),
 		spent:     make(chan []trace.Report, k.cfg.Workers),
@@ -102,8 +102,11 @@ func startPool(k *kernel) *pool {
 				}
 				j.out = k.run(v, j.pos, sc)
 				// Fold this epoch's addresses into the worker's shard of
-				// the day-distinct sets (Fig. 1B).
-				sc.foldDay(v)
+				// the day-distinct sets (Fig. 1B), for a driver that
+				// merges them.
+				if foldDays {
+					sc.foldDay(v)
+				}
 			}
 		}()
 	}
@@ -130,9 +133,10 @@ func (p *pool) wait() []*EpochMetrics {
 }
 
 // runSealed runs every epoch of a sealed index through the pool in
-// ascending order: the sealed-index driver.
-func runSealed(ix *trace.Index, k *kernel) ([]*EpochMetrics, []*epochScratch) {
-	p := startPool(k)
+// ascending order: the sealed-index driver. With foldDays the returned
+// scratches hold the Fig. 1B day sets for mergeDays.
+func runSealed(ix *trace.Index, k *kernel, foldDays bool) ([]*EpochMetrics, []*epochScratch) {
+	p := startPool(k, foldDays)
 	for _, e := range ix.Epochs() {
 		p.send(&poolJob{epoch: e, ix: ix})
 	}

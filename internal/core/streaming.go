@@ -40,7 +40,7 @@ func AnalyzeStream(src ReportSource, db *isp.Database, cfg Config, interval time
 		interval = trace.DefaultReportInterval
 	}
 	k := onlineKernel(interval, db, cfg)
-	p := startPool(k)
+	p := startPool(k, true)
 	epochs := trace.NewCloser[[]trace.Report](1, 1)
 	var invalid error // the first report to fail validation ends the read
 	send := func(epoch int64, reports *[]trace.Report) {

@@ -85,6 +85,12 @@ func (b *CSRBuilder) AddIndexEdge(u, v int32) {
 	if u == v {
 		return
 	}
+	if len(b.edges) == cap(b.edges) {
+		// Double: a builder starts empty every analysis pass, and
+		// append's 1.25× steps for long slices would allocate about five
+		// times the final buffer on the way up instead of about twice.
+		b.edges = slices.Grow(b.edges, max(len(b.edges), 256))
+	}
 	b.edges = append(b.edges, packEdge(u, v))
 }
 

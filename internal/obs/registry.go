@@ -258,40 +258,30 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, nil, gaugeFunc(fn))
 }
 
-// shardFunc samples one value per member of an n-member tier at
-// exposition time, as one family with a shard="K" sample per member.
-type shardFunc struct {
-	kind string // "counter" or "gauge"
-	n    int
-	fn   func(i int) float64
+// shardFamily is an n-member tier's family: one collector per member,
+// each sampled under its own label block, {shard="K"} with K = i+1 —
+// 1-based, like the journal's shard labels. A member renders exactly as
+// a one-member family does, so a counter prints the same digits at any
+// tier size.
+type shardFamily struct {
+	members []collector
+	labels  []string
 }
 
-func (s shardFunc) typ() string { return s.kind }
+func (s shardFamily) typ() string { return s.members[0].typ() }
 
-func (s shardFunc) emit(b []byte, name, _ string) []byte {
-	for i := 0; i < s.n; i++ {
-		b = appendShardLabel(append(b, name...), i)
-		b = append(b, ' ')
-		b = appendFloat(b, s.fn(i))
-		b = append(b, '\n')
+func (s shardFamily) emit(b []byte, name, _ string) []byte {
+	for i, m := range s.members {
+		b = m.emit(b, name, s.labels[i])
 	}
 	return b
 }
 
-func (s shardFunc) sample(out []SnapshotSample, name, _ string) []SnapshotSample {
-	for i := 0; i < s.n; i++ {
-		key := appendShardLabel([]byte(name), i)
-		out = append(out, SnapshotSample{Series: string(key), Value: s.fn(i)})
+func (s shardFamily) sample(out []SnapshotSample, name, _ string) []SnapshotSample {
+	for i, m := range s.members {
+		out = m.sample(out, name, s.labels[i])
 	}
 	return out
-}
-
-// appendShardLabel appends member i's label block, {shard="K"} with K
-// = i+1: 1-based, like the journal's shard labels.
-func appendShardLabel(b []byte, i int) []byte {
-	b = append(b, `{shard="`...)
-	b = strconv.AppendInt(b, int64(i+1), 10)
-	return append(b, '"', '}')
 }
 
 // ShardCounterFunc registers a counter family over an n-member tier (a
@@ -299,24 +289,37 @@ func appendShardLabel(b []byte, i int) []byte {
 // fn(i) at exposition time. A one-member tier is exposed unlabeled,
 // exactly as CounterFunc exposes it; a larger one as one family with a
 // shard="K" sample per member, K ascending. This is the one place a
-// registration depends on the tier size. fn must be safe to call from
-// the scraping goroutine.
+// registration depends on the tier size; n must be at least 1. fn must
+// be safe to call from the scraping goroutine.
 func (r *Registry) ShardCounterFunc(name, help string, n int, fn func(i int) uint64) {
-	if n == 1 {
-		r.CounterFunc(name, help, func() uint64 { return fn(0) })
-		return
+	members := make([]collector, n)
+	for i := range members {
+		members[i] = counterFunc(func() uint64 { return fn(i) })
 	}
-	r.register(name, help, nil, shardFunc{kind: "counter", n: n,
-		fn: func(i int) float64 { return float64(fn(i)) }})
+	r.registerShards(name, help, members)
 }
 
 // ShardGaugeFunc is ShardCounterFunc for gauge families.
 func (r *Registry) ShardGaugeFunc(name, help string, n int, fn func(i int) float64) {
-	if n == 1 {
-		r.GaugeFunc(name, help, func() float64 { return fn(0) })
+	members := make([]collector, n)
+	for i := range members {
+		members[i] = gaugeFunc(func() float64 { return fn(i) })
+	}
+	r.registerShards(name, help, members)
+}
+
+// registerShards registers one member unlabeled, and more as a
+// shardFamily.
+func (r *Registry) registerShards(name, help string, members []collector) {
+	if len(members) == 1 {
+		r.register(name, help, nil, members[0])
 		return
 	}
-	r.register(name, help, nil, shardFunc{kind: "gauge", n: n, fn: fn})
+	labels := make([]string, len(members))
+	for i := range labels {
+		labels[i] = `{shard="` + strconv.Itoa(i+1) + `"}`
+	}
+	r.register(name, help, nil, shardFamily{members: members, labels: labels})
 }
 
 // Histogram registers and returns a new histogram with the given bucket

@@ -72,3 +72,32 @@ zz_depth 3
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
+
+// TestShardCounterIntegerAtAnyTierSize: a counter family prints the same
+// integer digits whatever the tier size. A multi-member family used to
+// render through the gauges' float formatting, so 1,234,567 read
+// 1.234567e+06 with a shard label and 1234567 without one; gauges keep
+// their float formatting.
+func TestShardCounterIntegerAtAnyTierSize(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		r := NewRegistry()
+		r.ShardCounterFunc("x_total", "", n, func(int) uint64 { return 1234567 })
+		r.ShardGaugeFunc("y", "", n, func(int) float64 { return 1234567 })
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, "x_total"):
+				if !strings.HasSuffix(line, " 1234567") {
+					t.Errorf("n=%d: counter sample %q, want integer digits", n, line)
+				}
+			case strings.HasPrefix(line, "y"):
+				if !strings.HasSuffix(line, " 1.234567e+06") {
+					t.Errorf("n=%d: gauge sample %q, want the float form", n, line)
+				}
+			}
+		}
+	}
+}

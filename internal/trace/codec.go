@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -68,6 +71,34 @@ var errTruncated = fmt.Errorf("%w: truncated field", ErrCorrupt)
 // Any input AppendReport could not have produced yields an error wrapping
 // ErrCorrupt and a zero Report.
 func DecodeReport(data []byte) (Report, error) {
+	return (*decoder)(nil).decode(data)
+}
+
+const (
+	// _slabRecords is the length of one partner slab (64 KiB), which
+	// holds a few hundred typical partner lists and any list up to
+	// MaxPartnersPerReport.
+	_slabRecords = 4096
+	// _maxInterned and _maxInternedLen bound a decoder's channel-name
+	// table, so a stream of ever-new or outsized names costs one string
+	// each and grows the table by at most 64 KiB of names.
+	_maxInterned    = 1024
+	_maxInternedLen = 64
+)
+
+// decoder is DecodeReport's body with the allocation of a report's
+// channel name and partner list made cheap for a stream of reports: it
+// cuts each partner list from a shared slab, with capacity equal to its
+// length so an append to one list cannot reach the next, and it interns
+// channel names, up to _maxInterned of them and _maxInternedLen bytes
+// each. A nil *decoder allocates both per report, as DecodeReport does.
+// A decoder is not safe for concurrent use.
+type decoder struct {
+	slab  []PartnerRecord   // the unused tail of the current slab
+	names map[string]string // interned channel names
+}
+
+func (d *decoder) decode(data []byte) (Report, error) {
 	var head [4]uint64 // time, address, port, channel length
 	rest, ok := uvarints(data, head[:])
 	if !ok {
@@ -81,7 +112,7 @@ func DecodeReport(data []byte) (Report, error) {
 		Time:    time.Unix(0, int64(head[0])).UTC(),
 		Addr:    isp.Addr(head[1]),
 		Port:    uint16(head[2]),
-		Channel: string(rest[:n]),
+		Channel: d.channel(rest[:n]),
 	}
 	rest = rest[n:]
 	if len(rest) < 5*8 {
@@ -104,7 +135,7 @@ func DecodeReport(data []byte) (Report, error) {
 		return Report{}, fmt.Errorf("%w: %d partners with %d bytes left", ErrCorrupt, np, len(rest))
 	}
 	if np > 0 {
-		r.Partners = make([]PartnerRecord, np)
+		r.Partners = d.partners(int(np))
 	}
 	var p [4]uint64 // address, port, sent, received
 	for i := range r.Partners {
@@ -122,6 +153,38 @@ func DecodeReport(data []byte) (Report, error) {
 		return Report{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return r, nil
+}
+
+// channel returns b as a string, interned when d has room.
+func (d *decoder) channel(b []byte) string {
+	if d == nil {
+		return string(b)
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(d.names) < _maxInterned && len(s) <= _maxInternedLen {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
+}
+
+// partners returns a list of n records, cut from the slab when d is
+// non-nil.
+func (d *decoder) partners(n int) []PartnerRecord {
+	if d == nil {
+		return make([]PartnerRecord, n)
+	}
+	if len(d.slab) < n {
+		d.slab = make([]PartnerRecord, _slabRecords)
+	}
+	list := d.slab[:n:n]
+	d.slab = d.slab[n:]
+	return list
 }
 
 // uvarints decodes len(dst) consecutive uvarints from the front of b and
@@ -175,11 +238,14 @@ func (w *Writer) Submit(r Report) error {
 // Flush pushes buffered bytes to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader streams reports from the binary format.
+// Reader streams reports from the binary format. It decodes with one
+// decoder, so the reports it returns share partner slabs and channel
+// names with one another.
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
 	off int64 // bytes consumed: the header and every whole frame read
+	dec decoder
 }
 
 // NewReader validates the header and returns a streaming reader. A
@@ -215,27 +281,39 @@ func NewReader(r io.Reader) (*Reader, error) {
 // error wraps io.ErrUnexpectedEOF, so no reader loop takes it for a
 // clean end.
 func (r *Reader) Next() (Report, error) {
+	buf, err := r.readFrame(r.buf[:0])
+	r.buf = buf
+	if err != nil {
+		return Report{}, err
+	}
+	return r.dec.decode(buf)
+}
+
+// readFrame is the one frame loop: it reads the next frame and appends
+// its payload to buf. At a clean end of stream it returns buf and
+// io.EOF; on any other error it returns buf as it was.
+func (r *Reader) readFrame(buf []byte) ([]byte, error) {
 	head, err := r.br.Peek(binary.MaxVarintLen64)
 	if len(head) == 0 && err == io.EOF {
-		return Report{}, io.EOF
+		return buf, io.EOF
 	}
 	n, k := binary.Uvarint(head)
 	if k == 0 {
-		return Report{}, fmt.Errorf("trace: read frame: %w", unexpected(err))
+		return buf, fmt.Errorf("trace: read frame: %w", unexpected(err))
 	}
 	if k < 0 || n > _maxRecordSize {
-		return Report{}, fmt.Errorf("%w: record longer than %d bytes", ErrCorrupt, _maxRecordSize)
+		return buf, fmt.Errorf("%w: record longer than %d bytes", ErrCorrupt, _maxRecordSize)
 	}
-	frame := k + int(n)
-	if cap(r.buf) < frame {
-		r.buf = make([]byte, frame)
+	if _, err := r.br.Discard(k); err != nil {
+		return buf, fmt.Errorf("trace: read frame: %w", err)
 	}
-	r.buf = r.buf[:frame]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		return Report{}, fmt.Errorf("trace: read record: %w", unexpected(err))
+	start := len(buf)
+	out := slices.Grow(buf, int(n))[:start+int(n)]
+	if _, err := io.ReadFull(r.br, out[start:]); err != nil {
+		return buf, fmt.Errorf("trace: read record: %w", unexpected(err))
 	}
-	r.off += int64(frame)
-	return DecodeReport(r.buf[k:])
+	r.off += int64(k) + int64(n)
+	return out, nil
 }
 
 // unexpected maps the io.EOF of a stream that stops inside a frame to
@@ -247,23 +325,123 @@ func unexpected(err error) error {
 	return err
 }
 
-// LoadStore reads a whole binary trace stream into a Store.
+// _chunkBytes is the payload volume LoadStore hands a decode worker at
+// once: large enough that the hand-off is rare, small enough that a few
+// chunks per worker keep every worker busy.
+const _chunkBytes = 64 << 10
+
+// chunk is a run of consecutive frames on its way through LoadStore:
+// their payloads back to back and each one's end, then the reports a
+// worker decoded from them and the decode error that stopped it, if any.
+// done receives once the worker is finished with it.
+type chunk struct {
+	data    []byte
+	ends    []int
+	reports []Report
+	err     error
+	done    chan struct{}
+}
+
+// LoadStore reads a whole binary trace stream into a Store. The caller's
+// goroutine reads the frames, as Next does, in chunks of about
+// _chunkBytes; GOMAXPROCS workers decode the chunks, each with its own
+// decoder; and the caller submits every chunk's reports to the store in
+// stream order. The store, and the first error in stream order — a frame
+// that cannot be read, a record that cannot be decoded, a report the
+// store rejects — are those a loop of Next and Submit gives. Every worker
+// has exited when LoadStore returns.
 func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 	rd, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
 	store := NewStore(interval)
+	workers := runtime.GOMAXPROCS(0)
+	// jobs holds every chunk in flight, so the send below never blocks:
+	// the loop keeps at most cap(jobs) chunks pending, two per worker so
+	// a worker finds its next chunk ready when it finishes one.
+	jobs := make(chan *chunk, 2*workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go decodeChunks(&wg, jobs)
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+
+	var pending, spare []*chunk // chunks in flight, in stream order; chunks to refill
+	var readErr error
 	for {
-		rep, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			return store, nil
+		for readErr == nil && len(pending) < cap(jobs) {
+			var c *chunk
+			if n := len(spare); n > 0 {
+				c, spare = spare[n-1], spare[:n-1]
+			} else {
+				// Room for the frame that crosses _chunkBytes, so a
+				// chunk's buffer is sized once.
+				c = &chunk{data: make([]byte, 0, _chunkBytes*5/4), done: make(chan struct{}, 1)}
+			}
+			if readErr = rd.fill(c); len(c.ends) > 0 {
+				pending = append(pending, c)
+				jobs <- c
+			}
 		}
+		if len(pending) == 0 {
+			break
+		}
+		c := pending[0]
+		<-c.done
+		pending = append(pending[:0], pending[1:]...)
+		for i := range c.reports {
+			if err := store.Submit(c.reports[i]); err != nil {
+				return nil, err
+			}
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		spare = append(spare, c)
+	}
+	if readErr != io.EOF {
+		return nil, readErr
+	}
+	return store, nil
+}
+
+// fill reads frames into c until it holds _chunkBytes of payload, and
+// returns the error that ended the stream first, io.EOF at a clean end.
+func (r *Reader) fill(c *chunk) error {
+	c.data, c.ends = c.data[:0], c.ends[:0]
+	for len(c.data) < _chunkBytes {
+		data, err := r.readFrame(c.data)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := store.Submit(rep); err != nil {
-			return nil, err
+		c.data = data
+		c.ends = append(c.ends, len(data))
+	}
+	return nil
+}
+
+// decodeChunks is one LoadStore worker: it decodes the chunks it is sent
+// with its own decoder until jobs is closed.
+func decodeChunks(wg *sync.WaitGroup, jobs <-chan *chunk) {
+	defer wg.Done()
+	var d decoder
+	for c := range jobs {
+		c.reports, c.err = c.reports[:0], nil
+		start := 0
+		for _, end := range c.ends {
+			rep, err := d.decode(c.data[start:end])
+			if err != nil {
+				c.err = err
+				break
+			}
+			c.reports = append(c.reports, rep)
+			start = end
 		}
+		c.done <- struct{}{}
 	}
 }

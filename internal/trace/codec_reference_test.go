@@ -89,21 +89,29 @@ func decodeReportReference(data []byte) (out Report, err error) {
 
 type referenceCorrupt struct{ err error }
 
-// checkDecodersAgree is the differential property: DecodeReport and the
-// reference decoder return the same report, or both return ErrCorrupt.
-func checkDecodersAgree(t *testing.T, data []byte) {
+// checkDecodersAgree is the differential property: DecodeReport, the
+// Reader's slab decoder d and the reference decoder return the same
+// report, or all return ErrCorrupt. A partner list d cuts from its slab
+// must end at its own length, so an append to it cannot reach the next
+// report's partners.
+func checkDecodersAgree(t *testing.T, d *decoder, data []byte) {
 	t.Helper()
 	got, err := DecodeReport(data)
+	slab, slabErr := d.decode(data)
 	want, refErr := decodeReportReference(data)
 	switch {
-	case err != nil && refErr != nil:
-		if !errors.Is(err, ErrCorrupt) || !errors.Is(refErr, ErrCorrupt) {
-			t.Fatalf("%x: errors %v / reference %v, want both ErrCorrupt", data, err, refErr)
+	case err != nil && refErr != nil && slabErr != nil:
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(refErr, ErrCorrupt) || !errors.Is(slabErr, ErrCorrupt) {
+			t.Fatalf("%x: errors %v / slab %v / reference %v, want all ErrCorrupt", data, err, slabErr, refErr)
 		}
-	case err != nil || refErr != nil:
-		t.Fatalf("%x: DecodeReport err %v, reference err %v", data, err, refErr)
+	case err != nil || refErr != nil || slabErr != nil:
+		t.Fatalf("%x: DecodeReport err %v, slab err %v, reference err %v", data, err, slabErr, refErr)
 	case !sameReport(got, want):
 		t.Fatalf("%x: decoders disagree:\n     got %+v\nreference %+v", data, got, want)
+	case !sameReport(slab, want):
+		t.Fatalf("%x: slab decoder disagrees:\n    slab %+v\nreference %+v", data, slab, want)
+	case cap(slab.Partners) != len(slab.Partners):
+		t.Fatalf("%x: slab partner list has cap %d, len %d", data, cap(slab.Partners), len(slab.Partners))
 	}
 }
 
@@ -188,28 +196,29 @@ func TestDecodeReportAllocs(t *testing.T) {
 // partner-count limits; FuzzDecodeReport explores beyond.
 func TestDecodeReportMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var d decoder
 	for i := 0; i < 200; i++ {
 		r := randomReport(rng)
 		data := AppendReport(nil, &r)
-		checkDecodersAgree(t, data)
-		checkDecodersAgree(t, data[:rng.Intn(len(data))])
+		checkDecodersAgree(t, &d, data)
+		checkDecodersAgree(t, &d, data[:rng.Intn(len(data))])
 		mutated := bytes.Clone(data)
 		mutated[rng.Intn(len(mutated))] ^= byte(1 << rng.Intn(8))
-		checkDecodersAgree(t, mutated)
+		checkDecodersAgree(t, &d, mutated)
 	}
-	checkDecodersAgree(t, forgedChannelLength)
-	checkDecodersAgree(t, forgedPartnerCount())
-	checkDecodersAgree(t, nil)
+	checkDecodersAgree(t, &d, forgedChannelLength)
+	checkDecodersAgree(t, &d, forgedPartnerCount())
+	checkDecodersAgree(t, &d, nil)
 
 	r := randomReport(rng)
 	for _, n := range []int{_maxRecordSize, _maxRecordSize + 1} {
 		long := r
 		long.Channel = strings.Repeat("x", n)
-		checkDecodersAgree(t, AppendReport(nil, &long))
+		checkDecodersAgree(t, &d, AppendReport(nil, &long))
 	}
 	for _, n := range []int{MaxPartnersPerReport, MaxPartnersPerReport + 1} {
 		many := r
 		many.Partners = make([]PartnerRecord, n)
-		checkDecodersAgree(t, AppendReport(nil, &many))
+		checkDecodersAgree(t, &d, AppendReport(nil, &many))
 	}
 }

@@ -14,11 +14,11 @@ import (
 // FuzzDecodeReport is the native fuzz target for the wire decoder. CI
 // runs it in smoke mode (`go test -run Fuzz ./internal/trace`, seed
 // corpus only); `go test -fuzz=FuzzDecodeReport ./internal/trace`
-// explores from there. Beyond not panicking, DecodeReport must agree with
-// the reference decoder (the same report, or ErrCorrupt from both), and
-// any accepted input must survive a re-encode/re-decode round trip
-// unchanged — the property the epoch store relies on when it rewrites
-// trace files.
+// explores from there. Beyond not panicking, DecodeReport and the
+// Reader's slab decoder must agree with the reference decoder (the same
+// report, or ErrCorrupt from all three), and any accepted input must
+// survive a re-encode/re-decode round trip unchanged — the property the
+// epoch store relies on when it rewrites trace files.
 func FuzzDecodeReport(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
@@ -44,8 +44,11 @@ func FuzzDecodeReport(f *testing.F) {
 	nan := base
 	nan.DownKbps = math.NaN()
 	f.Add(AppendReport(nil, &nan)) // a float no == accepts
+
+	// One slab decoder across inputs, as a Reader keeps one.
+	var d decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodersAgree(t, data)
+		checkDecodersAgree(t, &d, data)
 		rep, err := DecodeReport(data)
 		if err != nil {
 			return

@@ -313,7 +313,7 @@ func (ix *Index) Fingerprint() [sha256.Size]byte {
 
 	buf := make([]byte, 0, 1024)
 	for i, e := range ix.epochs {
-		reports := ix.reports[ix.offsets[i]:ix.offsets[i+1]]
+		reports := ix.cols[i].reports
 		n = binary.PutVarint(scratch[:], e)
 		n += binary.PutUvarint(scratch[n:], uint64(len(reports)))
 		h.Write(scratch[:n])

@@ -21,6 +21,7 @@ type Store struct {
 	interval time.Duration
 	epochs   map[int64][]Report
 	count    int
+	opened   int64 // the epoch most recently opened; sizes the next one
 
 	// Seal cache: idx is valid while idxCount == count (count increases
 	// monotonically with every Submit).
@@ -92,7 +93,15 @@ func (s *Store) Submit(r Report) error {
 	}
 	e := s.EpochOf(r.Time)
 	s.mu.Lock()
-	s.epochs[e] = append(s.epochs[e], r)
+	list, ok := s.epochs[e]
+	if !ok {
+		// Consecutive epochs hold about as many reports, so a new
+		// epoch starts with room for what the last one opened holds
+		// now, instead of regrowing from empty.
+		list = make([]Report, 0, len(s.epochs[s.opened]))
+		s.opened = e
+	}
+	s.epochs[e] = append(list, r)
 	s.count++
 	j := s.journal
 	s.mu.Unlock()
