@@ -45,10 +45,11 @@ func (pt *Partner) Handle() Handle { return pt.peer }
 func (pt *Partner) Recip() int32 { return pt.recip }
 
 // edge is one slot of the edge column, parallel to the partner slots:
-// the frozen supplier-selection score, the partner ID, and whether the
-// slot holds a live partnership. Ranking and ID reads scan these 16
-// bytes per slot and never touch the Partner entries, whose counter
-// fields the sharded grant phase writes concurrently.
+// the frozen supplier-selection score, the partner ID, whether the slot
+// holds a live partnership, and whether it was filled since the peer's
+// last ranking. Ranking and ID reads scan these 16 bytes per slot and
+// never touch the Partner entries, whose counter fields the sharded
+// grant phase writes concurrently.
 //
 // The score is frozen when the partnership forms: Link.Score is pure
 // and LocalityBias is fixed before a peer connects, so computing it once
@@ -57,13 +58,14 @@ type edge struct {
 	score float64
 	id    isp.Addr
 	live  bool
+	fresh bool
 }
 
-// outranks reports whether e ranks before r in the supplier order
-// (score desc, ID asc). The partner entry is consulted only to break
-// exact score ties, which continuous link jitter makes rare.
-func (e *edge) outranks(r Ranked) bool {
-	return e.score > r.Score || (e.score == r.Score && e.id < r.Pt.ID)
+// outranks reports whether e ranks before f in the supplier order:
+// score desc, then ID asc, which is total because a peer's live
+// partners have distinct IDs.
+func (e *edge) outranks(f *edge) bool {
+	return e.score > f.score || (e.score == f.score && e.id < f.id)
 }
 
 // MaxDepth is the depth assigned to peers with no supply path from an
@@ -112,12 +114,18 @@ type Peer struct {
 // one slot on each side, and every mutation changes both. Connecting or
 // tearing down an edge therefore never searches or shifts the far
 // peer's memory; it writes one edge slot, one partner slot and the free
-// list. No ordered view is maintained: the supplier ranking and the
-// ascending-ID reads are computed from the edge column when asked for.
+// list. No ordered view is maintained on mutation: the ascending-ID
+// reads are sorted when asked for, and the supplier order is repaired
+// by the peer's own RankSuppliers.
 type partnerStore struct {
 	partners []Partner
 	edges    []edge
 	free     []int32
+	// order is the supplier ranking as of the last RankSuppliers: every
+	// slot live at that call, best first. Mutations leave it alone; the
+	// next ranking drops the slots freed or refilled since. A byte per
+	// slot holds because a ranking peer has at most MaxRankedPartners.
+	order []uint8
 }
 
 // reset empties the storage for reuse. The slots hold no references,
@@ -126,6 +134,7 @@ func (s *partnerStore) reset() {
 	s.partners = s.partners[:0]
 	s.edges = s.edges[:0]
 	s.free = s.free[:0]
+	s.order = s.order[:0]
 }
 
 // ID returns the peer's identity — its IP address, as in the traces.
@@ -229,10 +238,9 @@ func (p *Peer) byID() []uint64 {
 	return keys
 }
 
-// liveIDs returns a fresh, ascending slice of the live partner IDs
-// other than skip.
-func (p *Peer) liveIDs(skip isp.Addr) []isp.Addr {
-	out := make([]isp.Addr, 0, p.PartnerCount())
+// appendLiveIDs appends the live partner IDs other than skip to out and
+// sorts them ascending.
+func (p *Peer) appendLiveIDs(out []isp.Addr, skip isp.Addr) []isp.Addr {
 	for s := range p.edges {
 		if e := &p.edges[s]; e.live && e.id != skip {
 			out = append(out, e.id)
@@ -246,7 +254,8 @@ func (p *Peer) liveIDs(skip isp.Addr) []isp.Addr {
 // freshly allocated; the report path walks the list via Partners
 // instead.
 func (p *Peer) PartnerIDs() []isp.Addr {
-	return p.liveIDs(p.ID()) // a peer is never its own partner
+	// A peer is never its own partner.
+	return p.appendLiveIDs(make([]isp.Addr, 0, p.PartnerCount()), p.ID())
 }
 
 // PartnerIDAt returns the i-th live partner ID in ascending order,
@@ -273,10 +282,13 @@ func (p *Peer) allocSlot() int32 {
 	// Fresh storage jumps straight to the default partner cap: peers
 	// bootstrap tens of partners at once, so doubling up from nil would
 	// pay several reallocations per joining peer, and freed slots are
-	// reused at once, so a regular peer's storage never outgrows it.
+	// reused at once, so a regular peer's storage never outgrows it. The
+	// free list, which never holds more than every slot, gets the same
+	// capacity, so a far-side release never grows it.
 	if len(p.partners) == cap(p.partners) && cap(p.partners) < _slotHint {
 		p.partners = slices.Grow(p.partners, _slotHint-len(p.partners))
 		p.edges = slices.Grow(p.edges, _slotHint-len(p.edges))
+		p.free = slices.Grow(p.free, _slotHint)
 	}
 	p.partners = append(p.partners, Partner{})
 	p.edges = append(p.edges, edge{})
@@ -300,7 +312,7 @@ func (p *Peer) fill(slot int32, q *Peer, link netsim.Link, recip int32) {
 	pt.ID, pt.Port, pt.CapacityKbps = q.ID(), q.Port, link.CapacityKbps
 	pt.WinSent, pt.WinRecv = 0, 0
 	pt.peer, pt.recip = q.h, recip
-	p.edges[slot] = edge{score: score, id: q.ID(), live: true}
+	p.edges[slot] = edge{score: score, id: q.ID(), live: true, fresh: true}
 }
 
 // release frees one side of an edge: the slot goes straight back on the
@@ -350,36 +362,73 @@ type Ranked struct {
 	Score float64
 }
 
+// MaxRankedPartners is the most slots a peer that ranks suppliers may
+// hold, and so the largest usable Config.MaxPartners: the supplier order
+// indexes slots by byte. Servers never rank, so their lists are not
+// bounded by it.
+const MaxRankedPartners = 256
+
 // RankSuppliers appends up to k partners ranked by link score (best
 // first, ties broken by ID) to dst and returns it — the "most suitable
-// peers from which it actually requests media blocks". The ranking is
-// computed on every call by a k-bounded insertion over the edge column,
-// so the call only reads the peer — safe from concurrent shard workers
-// — and allocates only if dst lacks room for k entries.
+// peers from which it actually requests media blocks". The peer's
+// supplier order is repaired, not rebuilt: the slots freed or refilled
+// since the last call leave it, the slots filled since are
+// insertion-sorted into a run of their own, and the two runs are merged.
+// The call writes only the receiver's own order and fresh flags, so
+// shard workers may rank distinct peers concurrently; it allocates only
+// when the order outgrows its storage or dst lacks room for k entries.
 // Servers return nothing: they are sources, never receivers.
 func (p *Peer) RankSuppliers(dst []Ranked, k int) []Ranked {
 	if p.srv || k <= 0 {
 		return dst
 	}
-	base := len(dst)
-	for s := range p.edges {
-		e := &p.edges[s]
+	edges := p.edges
+	if len(edges) > MaxRankedPartners {
+		panic("protocol: a ranking peer holds more than MaxRankedPartners slots")
+	}
+	kept := p.order[:0]
+	for _, s := range p.order {
+		if e := &edges[s]; e.live && !e.fresh {
+			kept = append(kept, s)
+		}
+	}
+	var run [MaxRankedPartners]uint8
+	n := 0
+	for s := range edges {
+		e := &edges[s]
+		if !e.fresh {
+			continue
+		}
+		e.fresh = false
 		if !e.live {
 			continue
 		}
-		i := len(dst)
-		if i-base < k {
-			dst = append(dst, Ranked{})
-		} else if e.outranks(dst[i-1]) {
-			i-- // evict the current k-th
-		} else {
-			continue
+		i := n
+		for ; i > 0 && e.outranks(&edges[run[i-1]]); i-- {
+			run[i] = run[i-1]
 		}
-		for i > base && e.outranks(dst[i-1]) {
-			dst[i] = dst[i-1]
+		run[i] = uint8(s)
+		n++
+	}
+	m := len(kept)
+	if cap(kept) < m+n {
+		kept = slices.Grow(kept, cap(edges)-m)
+	}
+	// Merge from the back, so the kept run is shifted in place and only
+	// the fresh run needs its own buffer.
+	order := kept[:m+n]
+	for i, j, w := m-1, n-1, m+n-1; j >= 0; w-- {
+		if i >= 0 && edges[run[j]].outranks(&edges[order[i]]) {
+			order[w] = order[i]
 			i--
+		} else {
+			order[w] = run[j]
+			j--
 		}
-		dst[i] = Ranked{Pt: &p.partners[s], Score: e.score}
+	}
+	p.order = order
+	for _, s := range order[:min(k, len(order))] {
+		dst = append(dst, Ranked{Pt: &p.partners[s], Score: edges[s].score})
 	}
 	return dst
 }
@@ -406,9 +455,12 @@ func (p *Peer) UpdateQuality(fraction float64) {
 // Recommend samples up to n of the peer's partners, excluding the
 // requester — the "recommend known partners to each other" mechanism.
 // Sampling is uniform over the partner list, shuffled from ascending ID
-// order so the draw depends only on the list's contents.
+// order so the draw depends only on the list's contents. The result is
+// drawn from a table-owned scratch buffer: it is valid until the next
+// Recommend on any peer of the table.
 func (p *Peer) Recommend(rng *rand.Rand, requester isp.Addr, n int) []isp.Addr {
-	candidates := p.liveIDs(requester)
+	candidates := p.appendLiveIDs(p.tab.recIDs[:0], requester)
+	p.tab.recIDs = candidates
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})

@@ -42,11 +42,18 @@ func (m *edgeModel) connectable(i, j int) bool {
 	return i != j && !m.on[i][j] && m.degree(i) < m.cfg.MaxPartners && m.degree(j) < m.cfg.MaxPartners
 }
 
-func (m *edgeModel) connect(i, j int, link netsim.Link, bias float64) {
+// modelScore is the selection score a link gets at the given locality
+// bias, computed independently of fill.
+func modelScore(link netsim.Link, bias float64) float64 {
 	s := link.Score()
 	if link.SameISP {
 		s *= 1 + bias
 	}
+	return s
+}
+
+func (m *edgeModel) connect(i, j int, link netsim.Link, bias float64) {
+	s := modelScore(link, bias)
 	m.on[i][j], m.on[j][i] = true, true
 	m.score[i][j], m.score[j][i] = s, s
 }
@@ -77,10 +84,10 @@ func (m *edgeModel) ranked(i int) []Ranked {
 }
 
 // checkPeer compares peer i's observable partner state with the model:
-// PartnerCount, PartnerIDs in ascending order, the Partners walk,
-// RankSuppliers at several depths against the brute-force ranking, and
-// edge symmetry through each far handle and reciprocal slot.
-func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int) {
+// PartnerCount, PartnerIDs in ascending order, the Partners walk, and
+// edge symmetry through each far handle and reciprocal slot. With rank
+// set it also checks RankSuppliers at several depths.
+func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int, rank bool) {
 	t.Helper()
 	want := m.ranked(i)
 	if got := p.PartnerCount(); got != len(want) {
@@ -111,17 +118,33 @@ func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int) {
 				step, p.ID(), pt.ID)
 		}
 	})
-	for _, depth := range []int{1, 16, len(want) + 1} {
-		got := p.RankSuppliers(nil, depth)
-		exp := want[:min(depth, len(want))]
-		if len(got) != len(exp) {
-			t.Fatalf("step %d peer %v: RankSuppliers(%d) returned %d, want %d", step, p.ID(), depth, len(got), len(exp))
+	if rank {
+		for _, depth := range []int{1, 16, len(want) + 1} {
+			checkRanking(t, p, m, i, depth, step)
 		}
-		for r := range got {
-			if got[r].Pt.ID != exp[r].Pt.ID || got[r].Score != exp[r].Score {
-				t.Fatalf("step %d peer %v: RankSuppliers(%d)[%d] = (%v, %v), want (%v, %v)",
-					step, p.ID(), depth, r, got[r].Pt.ID, got[r].Score, exp[r].Pt.ID, exp[r].Score)
-			}
+	}
+}
+
+// checkRanking compares RankSuppliers(depth) on peer i with the model's
+// brute-force ranking, and checks that the call left every live slot in
+// the peer's order and no slot marked fresh: a repair that re-sorted
+// everything on every call would rank correctly, only slower.
+func checkRanking(t *testing.T, p *Peer, m *edgeModel, i, depth, step int) {
+	t.Helper()
+	want := m.ranked(i)
+	got := p.RankSuppliers(nil, depth)
+	if len(p.order) != len(want) || slices.ContainsFunc(p.edges, func(e edge) bool { return e.fresh }) {
+		t.Fatalf("step %d peer %v: after RankSuppliers the order holds %d slots for %d partners, or a slot is still fresh",
+			step, p.ID(), len(p.order), len(want))
+	}
+	exp := want[:min(depth, len(want))]
+	if len(got) != len(exp) {
+		t.Fatalf("step %d peer %v: RankSuppliers(%d) returned %d, want %d", step, p.ID(), depth, len(got), len(exp))
+	}
+	for r := range got {
+		if got[r].Pt.ID != exp[r].Pt.ID || got[r].Score != exp[r].Score {
+			t.Fatalf("step %d peer %v: RankSuppliers(%d)[%d] = (%v, %v), want (%v, %v)",
+				step, p.ID(), depth, r, got[r].Pt.ID, got[r].Score, exp[r].Pt.ID, exp[r].Score)
 		}
 	}
 }
@@ -129,10 +152,19 @@ func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int) {
 // TestRankWindowFuzz drives a small population through randomized
 // connect/disconnect/depart churn and checks every peer the operation
 // touched against an independent edge model: partner counts, ascending
-// ID reads, the supplier ranking, and edge symmetry. Scores mix a
+// ID reads and edge symmetry, and the supplier ranking. Scores mix a
 // locality multiplier, and half the links come from a small discrete
 // set so exact score ties — where the ID tie-break decides the
 // ranking — are common.
+//
+// RankSuppliers repairs the order it kept from the peer's previous
+// call, so the test varies what happens between two reads: a touched
+// peer is ranked on a coin flip, and every third step one random
+// untouched peer is ranked at a random depth, so reads follow runs of
+// mutations of any length. Two operations pin the repair's edge cases:
+// one slot released and refilled at a new score between two reads, and
+// storage parked by Table.Remove and reused by the next Add at that
+// handle.
 func TestRankWindowFuzz(t *testing.T) {
 	const n = 48
 	const bias = 0.8
@@ -163,8 +195,7 @@ func TestRankWindowFuzz(t *testing.T) {
 		return netsim.Link{RTT: time.Duration(1+rng.Intn(200)) * time.Millisecond,
 			CapacityKbps: 200 + rng.Float64()*2000, SameISP: rng.Intn(2) == 0}
 	}
-	connect := func(i, j int, step int) {
-		l := link()
+	connectWith := func(i, j int, l netsim.Link, step int) {
 		want := m.connectable(i, j)
 		if got := Connect(peers[i], peers[j], l, cfg); got != want {
 			t.Fatalf("step %d: Connect(%d, %d) = %v, model says %v", step, i+1, j+1, got, want)
@@ -173,6 +204,7 @@ func TestRankWindowFuzz(t *testing.T) {
 			m.connect(i, j, l, bias)
 		}
 	}
+	connect := func(i, j int, step int) { connectWith(i, j, link(), step) }
 	// disconnectRandom tears down one random edge of peer i and returns
 	// the far peer's index.
 	disconnectRandom := func(i int) int {
@@ -182,13 +214,26 @@ func TestRankWindowFuzz(t *testing.T) {
 		m.on[i][j], m.on[j][i] = false, false
 		return j
 	}
+	// depart removes peer i (Remove tears every edge down) and rejoins
+	// it at the handle its departure freed.
+	depart := func(i, step int) {
+		for j := range m.on[i] {
+			m.on[i][j], m.on[j][i] = false, false
+		}
+		h := peers[i].Handle()
+		tab.Remove(peers[i])
+		peers[i] = join(i)
+		if peers[i].Handle() != h {
+			t.Fatalf("step %d: rejoin got handle %d, want the freed %d", step, peers[i].Handle(), h)
+		}
+	}
 
 	touched := make([]bool, n)
 	for step := 0; step < 12000; step++ {
 		clear(touched)
 		i := rng.Intn(n)
 		touched[i] = true
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(14); {
 		case op < 6: // bootstrap burst, as the sim's tracker bootstrap does
 			for c := 0; c < 20; c++ {
 				j := rng.Intn(n)
@@ -203,20 +248,56 @@ func TestRankWindowFuzz(t *testing.T) {
 			for peers[i].PartnerCount() > 4 {
 				touched[disconnectRandom(i)] = true
 			}
-		default: // departure (Remove tears every edge down) and rejoin
+		case op < 12: // departure and rejoin
 			for j, on := range m.on[i] {
-				if on {
-					touched[j] = true
-					m.on[i][j], m.on[j][i] = false, false
-				}
+				touched[j] = touched[j] || on
 			}
-			tab.Remove(peers[i])
-			peers[i] = join(i)
+			depart(i, step)
+		case op < 13: // one slot released and refilled at a new score between two reads
+			p := peers[i]
+			if p.PartnerCount() == 0 {
+				break
+			}
+			checkRanking(t, p, m, i, p.PartnerCount()+1, step)
+			j := index(tab.Lookup(p.PartnerIDAt(rng.Intn(p.PartnerCount()))))
+			slot, _ := p.slotOf(peers[j].ID())
+			old := m.score[i][j]
+			Disconnect(p, peers[j])
+			m.on[i][j], m.on[j][i] = false, false
+			l := link()
+			for modelScore(l, bias) == old {
+				l = link()
+			}
+			connectWith(i, j, l, step)
+			if s, _ := p.slotOf(peers[j].ID()); s != slot {
+				t.Fatalf("step %d: refill took slot %d, want the freed %d", step, s, slot)
+			}
+			touched[j] = true
+			checkRanking(t, p, m, i, 1+rng.Intn(p.PartnerCount()+1), step)
+		default: // storage parked by Remove and reused by the next Add
+			checkRanking(t, peers[i], m, i, peers[i].PartnerCount()+1, step)
+			for j, on := range m.on[i] {
+				touched[j] = touched[j] || on
+			}
+			depart(i, step)
+			checkRanking(t, peers[i], m, i, 1+rng.Intn(8), step)
+			for c := rng.Intn(12); c > 0; c-- {
+				j := rng.Intn(n)
+				connect(i, j, step)
+				touched[j] = true
+			}
+			checkRanking(t, peers[i], m, i, peers[i].PartnerCount()+1, step)
 		}
 		for j, p := range peers {
-			if touched[j] || step%1000 == 0 {
-				checkPeer(t, tab, p, m, j, step)
+			switch {
+			case step%1000 == 0:
+				checkPeer(t, tab, p, m, j, step, true)
+			case touched[j]:
+				checkPeer(t, tab, p, m, j, step, rng.Intn(2) == 0)
 			}
+		}
+		if j := rng.Intn(n); step%3 == 0 && !touched[j] {
+			checkRanking(t, peers[j], m, j, 1+rng.Intn(m.degree(j)+1), step)
 		}
 	}
 }

@@ -40,7 +40,7 @@ type Table struct {
 
 	// store parks the partner-list arrays of departed peers, one slot
 	// per handle: the next peer reusing a slot starts with warmed
-	// capacity instead of growing three fresh arrays from nil, so under
+	// capacity instead of growing fresh arrays from nil, so under
 	// sustained churn the event plane stops allocating.
 	store []partnerStore
 
@@ -54,6 +54,8 @@ type Table struct {
 	// idKeys is the sort scratch behind the ascending-ID partner reads
 	// (Partners, PartnerIDAt); see Peer.byID.
 	idKeys []uint64
+	// recIDs is the buffer Recommend returns its sample in.
+	recIDs []isp.Addr
 }
 
 // Cols is a borrowed view of a table's hot columns, handed to the

@@ -137,6 +137,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: block mode needs Tick ≤ 6s, got %v", c.Tick)
 	case len(c.ShardSinks) > 0 && c.Sink != nil:
 		return fmt.Errorf("sim: Sink and ShardSinks are mutually exclusive")
+	case c.Protocol.MaxPartners > protocol.MaxRankedPartners:
+		return fmt.Errorf("sim: Protocol.MaxPartners must be ≤ %d, got %d",
+			protocol.MaxRankedPartners, c.Protocol.MaxPartners)
 	}
 	for _, f := range c.Crowds {
 		if err := workload.ValidateCrowd(f); err != nil {

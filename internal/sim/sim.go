@@ -583,8 +583,10 @@ func (s *Simulation) maintain(now time.Time) {
 		stream.ComputeDepths(s.tab, s.peers)
 	}
 	cfg := s.cfg.Protocol
-	// Iterate over a stable copy: connects mutate partner lists but not
-	// membership; departures cannot happen mid-maintenance.
+	// The loop ranges over s.peers itself, not a copy. That is safe only
+	// because nothing in it changes membership: connects (bootstrap,
+	// recommendation) mutate partner lists, never s.peers, and no
+	// departure runs mid-maintenance.
 	for _, p := range s.peers {
 		if p.IsServer() {
 			continue

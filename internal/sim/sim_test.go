@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/magellan-p2p/magellan/internal/protocol"
 	"github.com/magellan-p2p/magellan/internal/stream"
 	"github.com/magellan-p2p/magellan/internal/trace"
 	"github.com/magellan-p2p/magellan/internal/workload"
@@ -336,6 +337,10 @@ func TestConfigValidation(t *testing.T) {
 	bad := Config{MeanConcurrency: 100, Crowds: []workload.FlashCrowd{{Peak: 0.1}}}
 	if _, err := New(bad); err == nil {
 		t.Error("invalid crowd accepted")
+	}
+	wide := Config{MeanConcurrency: 100, Protocol: protocol.Config{MaxPartners: protocol.MaxRankedPartners + 1}}
+	if _, err := New(wide); err == nil {
+		t.Error("MaxPartners beyond the supplier order's byte-wide slot index accepted")
 	}
 }
 

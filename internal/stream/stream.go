@@ -349,7 +349,9 @@ func finalizePhase(e *Exchange, lo, hi, _ int) {
 // collectInto computes one receiver's pull requests — a pure function
 // of previous-tick state — appending them to dst. Suppliers are read
 // through the receiver's own partner entries and the table columns,
-// never through a far-side peer.
+// never through a far-side peer. The only write, RankSuppliers'
+// repair of the receiver's own supplier order, touches nothing another
+// receiver reads and leaves the ranking as it was.
 //
 //magellan:hotpath
 func (e *Exchange) collectInto(dst []request, p *protocol.Peer, cols protocol.Cols, dt time.Duration, worker int) []request {
@@ -414,12 +416,7 @@ func (e *Exchange) grant(k int, cols protocol.Cols, dt time.Duration) {
 	s := e.tab.Peer(h)
 	reqs := e.grants[e.supStart[k]:e.supStart[k+1]]
 	budget := SegOf(cols.Up[h], dt)
-	slices.SortFunc(reqs, func(a, b grantReq) int {
-		if a.seg != b.seg {
-			return cmp.Compare(a.seg, b.seg)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	sortGrants(reqs)
 	remaining := budget
 	for i := range reqs {
 		r := &reqs[i]
@@ -439,6 +436,35 @@ func (e *Exchange) grant(k int, cols protocol.Cols, dt time.Duration) {
 	}
 	// Advertise next tick's expected per-receiver share.
 	cols.Share[h] = cols.Up[h] / float64(len(reqs))
+}
+
+// _grantInsertionMax is the longest run sortGrants sorts by insertion.
+// Most suppliers serve a few requests a tick, where insertion beats the
+// generic sort's comparator calls.
+const _grantInsertionMax = 24
+
+// sortGrants sorts one supplier's run by (segments, receiver ID). The
+// order is total — a receiver requests a supplier at most once a tick,
+// and request amounts are never NaN — so both algorithms give the same
+// permutation.
+func sortGrants(reqs []grantReq) {
+	if len(reqs) > _grantInsertionMax {
+		slices.SortFunc(reqs, func(a, b grantReq) int {
+			if a.seg != b.seg {
+				return cmp.Compare(a.seg, b.seg)
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		return
+	}
+	for i := 1; i < len(reqs); i++ {
+		r := reqs[i]
+		j := i
+		for ; j > 0 && (r.seg < reqs[j-1].seg || r.seg == reqs[j-1].seg && r.id < reqs[j-1].id); j-- {
+			reqs[j] = reqs[j-1]
+		}
+		reqs[j] = r
+	}
 }
 
 // finalizeMesh updates throughput aggregates and quality for one chunk
