@@ -71,7 +71,9 @@ const _tcpWindowBits = 16 * 1024 * 8
 // reality — path quality is a property of the route — and keeps
 // simulations reproducible.
 type Network struct {
-	seed uint64
+	// seedHash is the FNV-1a state after the seed's eight bytes, the
+	// prefix every pair's hash shares.
+	seedHash uint64
 
 	// ISPBlind, when set, erases the intra-/inter-ISP quality asymmetry:
 	// every pair is treated as a mid-quality domestic path. Used by the
@@ -82,7 +84,12 @@ type Network struct {
 
 // NewNetwork builds a network model with the given seed.
 func NewNetwork(seed uint64) *Network {
-	return &Network{seed: seed}
+	v := uint64(_fnvOffset)
+	for i := 0; i < 64; i += 8 {
+		v ^= (seed >> i) & 0xff
+		v *= _fnvPrime
+	}
+	return &Network{seedHash: v}
 }
 
 // Link returns the link quality between two hosts for data flowing
@@ -125,24 +132,31 @@ func (n *Network) classify(a, b isp.ISP) pathCategory {
 	}
 }
 
+// 64-bit FNV-1a parameters, and the prime to the fourth power: four
+// zero bytes leave the xor a no-op, so they hash as one multiply.
+const (
+	_fnvOffset = 14695981039346656037
+	_fnvPrime  = 1099511628211
+	_fnvPrime4 = _fnvPrime * _fnvPrime * _fnvPrime * _fnvPrime % (1 << 64)
+)
+
 // pairJitter hashes the unordered pair into two uniform values in [0, 1):
 // 64-bit FNV-1a over the little-endian bytes of (seed, lo, hi), computed
-// inline because Link runs once per connection attempt.
+// inline because Link runs once per connection attempt. The seed's bytes
+// are hashed once, in NewNetwork, and each address's four high bytes are
+// zero, so a pair costs ten multiplies instead of twenty-four.
 func (n *Network) pairJitter(a, b isp.Addr) (float64, float64) {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	v := uint64(offset64)
-	for _, w := range [3]uint64{n.seed, uint64(lo), uint64(hi)} {
-		for i := 0; i < 64; i += 8 {
-			v ^= (w >> i) & 0xff
-			v *= prime64
+	v := n.seedHash
+	for _, w := range [2]isp.Addr{lo, hi} {
+		for i := 0; i < 32; i += 8 {
+			v ^= uint64(w>>i) & 0xff
+			v *= _fnvPrime
 		}
+		v *= _fnvPrime4
 	}
 	const norm = float64(1<<32 - 1)
 	return float64(v>>32) / norm, float64(v&0xffffffff) / norm

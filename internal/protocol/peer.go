@@ -47,9 +47,11 @@ func (pt *Partner) Recip() int32 { return pt.recip }
 // edge is one slot of the edge column, parallel to the partner slots:
 // the frozen supplier-selection score, the partner ID, whether the slot
 // holds a live partnership, and whether it was filled since the peer's
-// last ranking. Ranking and ID reads scan these 16 bytes per slot and
-// never touch the Partner entries, whose counter fields the sharded
-// grant phase writes concurrently.
+// last ranking. A free slot's id holds the next free slot instead: the
+// free list is chained through the column (see partnerStore). Ranking
+// and ID reads scan these 16 bytes per slot and never touch the Partner
+// entries, whose counter fields the sharded grant phase writes
+// concurrently.
 //
 // The score is frozen when the partnership forms: Link.Score is pure
 // and LocalityBias is fixed before a peer connects, so computing it once
@@ -113,14 +115,19 @@ type Peer struct {
 // reciprocal slot index. Edges are symmetric: a partnership occupies
 // one slot on each side, and every mutation changes both. Connecting or
 // tearing down an edge therefore never searches or shifts the far
-// peer's memory; it writes one edge slot, one partner slot and the free
-// list. No ordered view is maintained on mutation: the ascending-ID
+// peer's memory; it writes one edge slot, one partner slot and the
+// list head. No ordered view is maintained on mutation: the ascending-ID
 // reads are sorted when asked for, and the supplier order is repaired
 // by the peer's own RankSuppliers.
+//
+// The free list is a LIFO chain through the edge column: freeHead is
+// the last slot freed, each free slot's edge id names the one freed
+// before it, and nfree counts the chain, so its tail needs no sentinel.
 type partnerStore struct {
 	partners []Partner
 	edges    []edge
-	free     []int32
+	freeHead int32
+	nfree    int32
 	// order is the supplier ranking as of the last RankSuppliers: every
 	// slot live at that call, best first. Mutations leave it alone; the
 	// next ranking drops the slots freed or refilled since. A byte per
@@ -133,7 +140,7 @@ type partnerStore struct {
 func (s *partnerStore) reset() {
 	s.partners = s.partners[:0]
 	s.edges = s.edges[:0]
-	s.free = s.free[:0]
+	s.nfree = 0
 	s.order = s.order[:0]
 }
 
@@ -195,7 +202,7 @@ func (p *Peer) TickRecvSeg() float64 { return p.tab.tickRecv[p.h] }
 func (p *Peer) TickSentSeg() float64 { return p.tab.tickSent[p.h] }
 
 // PartnerCount returns the size of the partner list.
-func (p *Peer) PartnerCount() int { return len(p.edges) - len(p.free) }
+func (p *Peer) PartnerCount() int { return len(p.edges) - int(p.nfree) }
 
 // slotOf returns the storage slot of the live edge to id. The scan
 // reads only the compact edge column, where IDs are immutable for a
@@ -271,24 +278,22 @@ func (p *Peer) Partners(fn func(*Partner)) {
 	}
 }
 
-// allocSlot returns a free storage slot, growing the storage if the
-// free list is empty.
+// allocSlot returns a free storage slot, the last one freed, growing
+// the storage if the free list is empty.
 func (p *Peer) allocSlot() int32 {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
+	if p.nfree > 0 {
+		s := p.freeHead
+		p.freeHead = int32(p.edges[s].id)
+		p.nfree--
 		return s
 	}
 	// Fresh storage jumps straight to the default partner cap: peers
 	// bootstrap tens of partners at once, so doubling up from nil would
 	// pay several reallocations per joining peer, and freed slots are
-	// reused at once, so a regular peer's storage never outgrows it. The
-	// free list, which never holds more than every slot, gets the same
-	// capacity, so a far-side release never grows it.
+	// reused at once, so a regular peer's storage never outgrows it.
 	if len(p.partners) == cap(p.partners) && cap(p.partners) < _slotHint {
 		p.partners = slices.Grow(p.partners, _slotHint-len(p.partners))
 		p.edges = slices.Grow(p.edges, _slotHint-len(p.edges))
-		p.free = slices.Grow(p.free, _slotHint)
 	}
 	p.partners = append(p.partners, Partner{})
 	p.edges = append(p.edges, edge{})
@@ -316,12 +321,16 @@ func (p *Peer) fill(slot int32, q *Peer, link netsim.Link, recip int32) {
 }
 
 // release frees one side of an edge: the slot goes straight back on the
-// free list. Freed entries are marked in the edge column, not zeroed —
-// fill rewrites every field on reuse, and nothing reads free slots
-// except ResetWindow, which writes them harmlessly.
+// free list, at its head. Freed entries are marked in the edge column,
+// not zeroed — fill rewrites every field on reuse, and nothing reads
+// free slots except ResetWindow, which writes them harmlessly, and the
+// live-edge scans, which skip them.
 func (p *Peer) release(slot int32) {
-	p.edges[slot].live = false
-	p.free = append(p.free, slot)
+	e := &p.edges[slot]
+	e.live = false
+	e.id = isp.Addr(p.freeHead)
+	p.freeHead = slot
+	p.nfree++
 }
 
 // releaseFar frees the far side of the edge in pt, reached through the

@@ -3,6 +3,7 @@ package protocol
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -344,7 +345,9 @@ func TestChurnZeroAllocs(t *testing.T) {
 // TestPartnerSlotLayout pins the partner storage layout. Partner and
 // edge hold no pointer, so the garbage collector never scans a peer's
 // partner storage, and their sizes are fixed, so a new field is a
-// deliberate choice.
+// deliberate choice. The store's arrays are the slot storage, its edge
+// column and the supplier order: the free list is chained through the
+// edge column, not kept in an array of its own.
 func TestPartnerSlotLayout(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(Partner{}), reflect.TypeOf(edge{})} {
 		if path := pointerField(typ, typ.Name()); path != "" {
@@ -356,6 +359,16 @@ func TestPartnerSlotLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(edge{}); got != 16 {
 		t.Errorf("edge is %d bytes, want 16", got)
+	}
+	var arrays []string
+	store := reflect.TypeOf(partnerStore{})
+	for i := 0; i < store.NumField(); i++ {
+		if f := store.Field(i); f.Type.Kind() == reflect.Slice {
+			arrays = append(arrays, f.Name)
+		}
+	}
+	if want := []string{"partners", "edges", "order"}; !slices.Equal(arrays, want) {
+		t.Errorf("partnerStore arrays = %v, want %v", arrays, want)
 	}
 }
 

@@ -125,6 +125,33 @@ func checkPeer(t *testing.T, tab *Table, p *Peer, m *edgeModel, i, step int, ran
 	}
 }
 
+// checkFreeChain walks peer i's free list from its head: the chain must
+// visit every slot that holds no live partnership exactly once and
+// nothing else, and its length must be the slots the model leaves
+// unused.
+func checkFreeChain(t *testing.T, p *Peer, m *edgeModel, i, step int) {
+	t.Helper()
+	if want := len(p.edges) - m.degree(i); int(p.nfree) != want {
+		t.Fatalf("step %d peer %v: free count %d, want %d slots less %d partners",
+			step, p.ID(), p.nfree, len(p.edges), m.degree(i))
+	}
+	seen := make([]bool, len(p.edges))
+	s := p.freeHead
+	for k := int32(0); k < p.nfree; k++ {
+		if s < 0 || int(s) >= len(p.edges) || seen[s] || p.edges[s].live {
+			t.Fatalf("step %d peer %v: free chain link %d names slot %d: out of range, revisited or live",
+				step, p.ID(), k, s)
+		}
+		seen[s] = true
+		s = int32(p.edges[s].id)
+	}
+	for s, e := range p.edges {
+		if !e.live && !seen[s] {
+			t.Fatalf("step %d peer %v: free slot %d is off the chain", step, p.ID(), s)
+		}
+	}
+}
+
 // checkRanking compares RankSuppliers(depth) on peer i with the model's
 // brute-force ranking, and checks that the call left every live slot in
 // the peer's order and no slot marked fresh: a repair that re-sorted
@@ -164,7 +191,8 @@ func checkRanking(t *testing.T, p *Peer, m *edgeModel, i, depth, step int) {
 // mutations of any length. Two operations pin the repair's edge cases:
 // one slot released and refilled at a new score between two reads, and
 // storage parked by Table.Remove and reused by the next Add at that
-// handle.
+// handle. After every step each peer's free chain is walked from its
+// head.
 func TestRankWindowFuzz(t *testing.T) {
 	const n = 48
 	const bias = 0.8
@@ -298,6 +326,9 @@ func TestRankWindowFuzz(t *testing.T) {
 		}
 		if j := rng.Intn(n); step%3 == 0 && !touched[j] {
 			checkRanking(t, peers[j], m, j, 1+rng.Intn(m.degree(j)+1), step)
+		}
+		for j, p := range peers {
+			checkFreeChain(t, p, m, j, step)
 		}
 	}
 }

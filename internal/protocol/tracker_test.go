@@ -58,7 +58,7 @@ func TestTrackerAvailability(t *testing.T) {
 
 func TestBootstrapPrefersAvailable(t *testing.T) {
 	tr := newTestTracker()
-	for i := isp.Addr(1); i <= 100; i++ {
+	for i := Handle(1); i <= 100; i++ {
 		tr.Join("CCTV1", i)
 		if i <= 20 {
 			tr.SetAvailable("CCTV1", i, true)
@@ -77,7 +77,7 @@ func TestBootstrapPrefersAvailable(t *testing.T) {
 
 func TestBootstrapPadsFromMembers(t *testing.T) {
 	tr := newTestTracker()
-	for i := isp.Addr(1); i <= 30; i++ {
+	for i := Handle(1); i <= 30; i++ {
 		tr.Join("CCTV1", i)
 	}
 	tr.SetAvailable("CCTV1", 1, true)
@@ -85,7 +85,7 @@ func TestBootstrapPadsFromMembers(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("Bootstrap returned %d, want 10 (padded from members)", len(got))
 	}
-	seen := make(map[isp.Addr]bool)
+	seen := make(map[Handle]bool)
 	for _, id := range got {
 		if seen[id] {
 			t.Fatalf("duplicate %v in bootstrap set", id)
@@ -96,7 +96,7 @@ func TestBootstrapPadsFromMembers(t *testing.T) {
 
 func TestBootstrapExcludesSelf(t *testing.T) {
 	tr := newTestTracker()
-	for i := isp.Addr(1); i <= 5; i++ {
+	for i := Handle(1); i <= 5; i++ {
 		tr.Join("CCTV1", i)
 		tr.SetAvailable("CCTV1", i, true)
 	}
@@ -111,7 +111,7 @@ func TestBootstrapExcludesSelf(t *testing.T) {
 
 func TestBootstrapDefaultsToMaxBootstrap(t *testing.T) {
 	tr := newTestTracker()
-	for i := isp.Addr(1); i <= 200; i++ {
+	for i := Handle(1); i <= 200; i++ {
 		tr.Join("CCTV1", i)
 		tr.SetAvailable("CCTV1", i, true)
 	}
@@ -131,11 +131,11 @@ func TestBootstrapEmptyChannel(t *testing.T) {
 func TestBootstrapUniform(t *testing.T) {
 	tr := newTestTracker()
 	const n = 50
-	for i := isp.Addr(1); i <= n; i++ {
+	for i := Handle(1); i <= n; i++ {
 		tr.Join("CCTV1", i)
 		tr.SetAvailable("CCTV1", i, true)
 	}
-	counts := make(map[isp.Addr]int)
+	counts := make(map[Handle]int)
 	const trials = 5000
 	for trial := 0; trial < trials; trial++ {
 		for _, id := range tr.Bootstrap("CCTV1", 999, 5) {
@@ -143,7 +143,7 @@ func TestBootstrapUniform(t *testing.T) {
 		}
 	}
 	// Every peer should be drawn roughly trials*5/n = 500 times.
-	for i := isp.Addr(1); i <= n; i++ {
+	for i := Handle(1); i <= n; i++ {
 		if counts[i] < 300 || counts[i] > 750 {
 			t.Errorf("peer %v drawn %d times, want ≈ 500 (uniform)", i, counts[i])
 		}
@@ -156,7 +156,7 @@ func TestBootstrapLocalityBias(t *testing.T) {
 	tr := NewTracker(cfg, rand.New(rand.NewSource(5)))
 	// 30 Telecom peers (1..30) and 30 Netcom peers (31..60), all
 	// available.
-	for i := isp.Addr(1); i <= 60; i++ {
+	for i := Handle(1); i <= 60; i++ {
 		tr.Join("CCTV1", i)
 		owner := isp.ChinaTelecom
 		if i > 30 {
@@ -185,7 +185,7 @@ func TestBootstrapLocalityBias(t *testing.T) {
 	}
 	// And without bias the same split is ≈ 0.5.
 	unbiased := NewTracker(DefaultConfig(), rand.New(rand.NewSource(5)))
-	for i := isp.Addr(1); i <= 60; i++ {
+	for i := Handle(1); i <= 60; i++ {
 		unbiased.Join("CCTV1", i)
 		unbiased.SetAvailable("CCTV1", i, true)
 	}
@@ -207,7 +207,7 @@ func TestBootstrapLocalityBiasNoDuplicates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LocalityBias = 1.0
 	tr := NewTracker(cfg, rand.New(rand.NewSource(6)))
-	for i := isp.Addr(1); i <= 8; i++ {
+	for i := Handle(1); i <= 8; i++ {
 		tr.Join("CCTV1", i)
 		tr.SetISP(i, isp.ChinaTelecom)
 		tr.SetAvailable("CCTV1", i, true)
@@ -216,7 +216,7 @@ func TestBootstrapLocalityBiasNoDuplicates(t *testing.T) {
 	tr.SetISP(100, isp.ChinaTelecom)
 	for trial := 0; trial < 100; trial++ {
 		got := tr.Bootstrap("CCTV1", 100, 8)
-		seen := make(map[isp.Addr]bool, len(got))
+		seen := make(map[Handle]bool, len(got))
 		for _, id := range got {
 			if seen[id] {
 				t.Fatalf("duplicate %v in biased bootstrap", id)
@@ -286,34 +286,38 @@ func TestChannels(t *testing.T) {
 	}
 }
 
-func TestAddrSetSampleRejectionPath(t *testing.T) {
-	s := newAddrSet()
-	for i := isp.Addr(1); i <= 1000; i++ {
-		s.add(i)
+func TestHandleSetDrawRejectionPath(t *testing.T) {
+	tr := newTestTracker()
+	s := newHandleSet()
+	for h := Handle(1); h <= 1000; h++ {
+		tr.cover(h)
+		s.add(h)
 	}
-	rng := rand.New(rand.NewSource(7))
-	// Pre-seeding dst with 6 and 7 excludes them from the draw.
-	got := s.sample(rng, 10, 5, []isp.Addr{6, 7})
-	if len(got) != 12 {
-		t.Fatalf("sample returned %d new+seed entries, want 12", len(got))
+	// Handles stamped at the current generation (the requester 5 and
+	// earlier draws 6 and 7) are excluded from the draw.
+	tr.gen = 1
+	tr.stamp[5], tr.stamp[6], tr.stamp[7] = 1, 1, 1
+	tr.draw(s, 10)
+	got := tr.bootOut
+	if len(got) != 10 {
+		t.Fatalf("draw returned %d handles, want 10", len(got))
 	}
-	got = got[2:]
-	seen := make(map[isp.Addr]bool)
-	for _, id := range got {
-		if id == 5 || id == 6 || id == 7 {
-			t.Errorf("excluded ID %v sampled", id)
+	seen := make(map[Handle]bool)
+	for _, h := range got {
+		if h == 5 || h == 6 || h == 7 {
+			t.Errorf("excluded handle %v sampled", h)
 		}
-		if seen[id] {
-			t.Errorf("duplicate %v", id)
+		if seen[h] {
+			t.Errorf("duplicate %v", h)
 		}
-		seen[id] = true
+		seen[h] = true
 	}
 }
 
-func TestAddrSetRemoveSwaps(t *testing.T) {
-	s := newAddrSet()
-	for i := isp.Addr(1); i <= 5; i++ {
-		s.add(i)
+func TestHandleSetRemoveSwaps(t *testing.T) {
+	s := newHandleSet()
+	for h := Handle(1); h <= 5; h++ {
+		s.add(h)
 	}
 	s.add(3) // duplicate add is a no-op
 	if s.len() != 5 {
@@ -324,7 +328,7 @@ func TestAddrSetRemoveSwaps(t *testing.T) {
 	if s.len() != 4 || s.contains(3) {
 		t.Errorf("remove failed: len=%d contains(3)=%v", s.len(), s.contains(3))
 	}
-	for _, want := range []isp.Addr{1, 2, 4, 5} {
+	for _, want := range []Handle{1, 2, 4, 5} {
 		if !s.contains(want) {
 			t.Errorf("lost member %v after swap-remove", want)
 		}

@@ -304,9 +304,9 @@ func (s *Simulation) seedServers() error {
 			s.insert(srv)
 			s.servers++
 			for _, tr := range s.trackers {
-				tr.Join(ch.Name, addr)
-				tr.SetISP(addr, owner)
-				tr.SetAvailable(ch.Name, addr, true)
+				tr.Join(ch.Name, srv.Handle())
+				tr.SetISP(srv.Handle(), owner)
+				tr.SetAvailable(ch.Name, srv.Handle(), true)
 			}
 		}
 	}
@@ -347,9 +347,9 @@ func (s *Simulation) joinPeer(host netsim.Host, ch workload.Channel, session tim
 	rt := s.insert(p)
 	s.joins++
 	tr := s.trackerFor(host.Addr)
-	tr.Join(ch.Name, host.Addr)
-	tr.SetISP(host.Addr, host.ISP)
-	tr.SetAvailable(ch.Name, host.Addr, true)
+	tr.Join(ch.Name, p.Handle())
+	tr.SetISP(p.Handle(), host.ISP)
+	tr.SetAvailable(ch.Name, p.Handle(), true)
 
 	s.bootstrap(p, protocol.MaxBootstrap, now)
 
@@ -360,13 +360,12 @@ func (s *Simulation) joinPeer(host netsim.Host, ch workload.Channel, session tim
 		func(t time.Time) { s.emitReport(p, t) })
 }
 
-// bootstrap asks the tracker for candidates and connects to them.
+// bootstrap asks the tracker for candidates and connects to them. The
+// tracker names members by table handle, and every member is live:
+// departures leave the tracker before their handle is freed.
 func (s *Simulation) bootstrap(p *protocol.Peer, n int, now time.Time) {
-	for _, id := range s.trackerFor(p.ID()).Bootstrap(p.Channel, p.ID(), n) {
-		q := s.tab.Lookup(id)
-		if q == nil {
-			continue
-		}
+	for _, h := range s.trackerFor(p.ID()).Bootstrap(p.Channel, p.Handle(), n) {
+		q := s.tab.Peer(h)
 		link := s.network.Link(p.Host, q.Host)
 		protocol.Connect(p, q, link, s.cfg.Protocol)
 	}
@@ -386,16 +385,16 @@ func (s *Simulation) handleDeparture(p *protocol.Peer, now time.Time) {
 	if rt == nil || rt.peer != p {
 		return
 	}
-	addr := p.ID()
 	// Hot-state reads are invalid once the table slot is freed; capture
-	// what the teardown needs first.
+	// what the teardown needs first. The tracker entries go before the
+	// handle is freed for reuse.
 	isServer := p.IsServer()
 	if isServer {
 		for _, tr := range s.trackers {
-			tr.Leave(p.Channel, addr)
+			tr.Leave(p.Channel, h)
 		}
 	} else {
-		s.trackerFor(addr).Leave(p.Channel, addr)
+		s.trackerFor(p.ID()).Leave(p.Channel, h)
 	}
 	if rt.report != nil {
 		rt.report.Stop()
@@ -631,7 +630,7 @@ func (s *Simulation) maintain(now time.Time) {
 		// Availability: volunteer at the tracker while upload headroom
 		// remains, exactly the protocol's capacity-utilization strategy.
 		available := p.SpareUploadKbps() > protocol.AvailabilityHeadroomKbps && p.AcceptsConnection(cfg)
-		s.trackerFor(p.ID()).SetAvailable(p.Channel, p.ID(), available)
+		s.trackerFor(p.ID()).SetAvailable(p.Channel, p.Handle(), available)
 	}
 }
 
