@@ -210,7 +210,7 @@ type EpochMetrics struct {
 // whose index map and edge arrays survive from epoch to epoch, the graph
 // arenas the kernel builds each epoch's graphs into, the epoch's node
 // columns, the random-baseline scratch, the RNG each heavy epoch
-// re-seeds, the column builder for epochs sent as raw reports, and the
+// re-seeds, the decoder and column builder for stream epochs, and the
 // worker's shard of the Fig. 1B day-distinct fold (merged after the pool
 // drains, so no lock serializes the hot loop). One scratch serves any
 // number of sequential epochs; concurrent workers need one each.
@@ -222,6 +222,7 @@ type epochScratch struct {
 	isps   []isp.ISP     // each active-graph node's ISP, by node index
 	random graph.RandomScratch
 	rng    *rand.Rand
+	dec    trace.Decoder // its partner slabs back the columns' reports
 	cols   *trace.EpochColumns
 	days   []daySets  // one per trace day the worker has seen, in first-seen order
 	sort   []isp.Addr // radix scratch of the day buffers

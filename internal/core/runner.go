@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/magellan-p2p/magellan/internal/isp"
@@ -46,33 +47,39 @@ func columnsView(interval time.Duration, epoch int64, cols *trace.EpochColumns) 
 // unbuffered, so the sender runs at most one epoch ahead of the busy
 // workers.
 //
-// A worker hands a raw-report job's slice back on spent, cleared, once
-// it has built the epoch's columns, and the sender collects a later
-// epoch's reports in it. spent holds one slice per worker; a slice that
-// finds it full is left to the garbage collector.
+// A worker hands a stream job's payload buffer back on spent, emptied,
+// once it has decoded the epoch into its columns, and the sender
+// collects a later epoch's payloads in it. spent has room for every
+// buffer the stream holds at once: one per worker and the two open
+// epochs'. A stream job that meets a fault runs no kernel and sets
+// failed.
 type pool struct {
 	jobs      chan *poolJob
-	spent     chan []trace.Report
+	spent     chan epochFrames
+	failed    atomic.Bool
 	sent      []*poolJob
 	scratches []*epochScratch
 	wg        sync.WaitGroup
 }
 
 // poolJob is one epoch on its way through the pool: an epoch of a sealed
-// index, or an epoch's raw reports in arrival order, which the worker
-// hands back on spent once it has built their columns.
+// index, or a stream epoch's undecoded payloads, with where the stream
+// closed it (see streamFault) and the fault its worker met, if any.
 type poolJob struct {
-	epoch   int64
-	pos     int
-	ix      *trace.Index
-	reports []trace.Report
-	out     *EpochMetrics
+	epoch    int64
+	pos      int
+	ix       *trace.Index
+	frames   *epochFrames
+	closedAt int
+	dropped  int
+	fault    *streamFault
+	out      *EpochMetrics
 }
 
 func startPool(k *kernel, foldDays bool) *pool {
 	p := &pool{
 		jobs:      make(chan *poolJob),
-		spent:     make(chan []trace.Report, k.cfg.Workers),
+		spent:     make(chan epochFrames, k.cfg.Workers+2),
 		scratches: make([]*epochScratch, k.cfg.Workers),
 	}
 	for w := range p.scratches {
@@ -86,18 +93,16 @@ func startPool(k *kernel, foldDays bool) *pool {
 				if j.ix != nil {
 					v = NewIndexedEpochView(j.ix, j.epoch)
 				} else {
-					sc.cols.Reset()
-					for i := range j.reports {
-						sc.cols.Add(j.reports[i])
-					}
-					// The columns hold what the kernel needs. Clearing
-					// the slice unpins the reports' partner lists.
-					clear(j.reports)
+					j.fault = sc.decodeEpoch(j)
 					select {
-					case p.spent <- j.reports[:0]:
+					case p.spent <- epochFrames{j.frames.data[:0], j.frames.frames[:0]}:
 					default:
 					}
-					j.reports = nil
+					j.frames = nil
+					if j.fault != nil {
+						p.failed.Store(true)
+						continue
+					}
 					v = columnsView(k.interval, j.epoch, sc.cols)
 				}
 				j.out = k.run(v, j.pos, sc)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,11 +29,12 @@ func TestStreamGoldenEquivalence(t *testing.T) {
 		{"fault", faultTrace, "fdcc3dafcda66b8e523e95ca6c8dc94f158019fa520912db8b72430015f16080"},
 	} {
 		store, db := tc.trace(t)
+		raw := storeStream(t, store)
 		for _, workers := range []int{1, 2, 7} {
 			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
 				cfg := goldenConfig()
 				cfg.Workers = workers
-				res, dropped, err := AnalyzeStream(newStoreSource(t, store), db, cfg, store.Interval())
+				res, dropped, err := AnalyzeStream(newReader(t, bytes.NewReader(raw)), db, cfg, store.Interval())
 				if err != nil {
 					t.Fatalf("AnalyzeStream: %v", err)
 				}
@@ -47,18 +50,10 @@ func TestStreamGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// failingSource yields reports and then a read error.
-type failingSource struct {
-	storeSource
-	err error
-}
+// failingReader fails every read with err.
+type failingReader struct{ err error }
 
-func (s *failingSource) Next() (trace.Report, error) {
-	if s.i >= len(s.reports) {
-		return trace.Report{}, s.err
-	}
-	return s.storeSource.Next()
-}
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
 
 // waitGoroutines waits for the goroutine count to fall back to base; a
 // worker that has signalled its WaitGroup may take a moment to exit.
@@ -79,7 +74,7 @@ func waitGoroutines(t *testing.T, base int) {
 // serial analyzer returned and no worker outlives the call.
 func TestStreamErrorsStopWorkers(t *testing.T) {
 	store, db := scaledTrace(t)
-	reports := newStoreSource(t, store).reports
+	reports := storeReports(t, store)
 	// An invalid report a third of the way in, followed by enough epochs
 	// that its own epoch completes and the pool has work in flight.
 	bad := len(reports) / 3
@@ -89,6 +84,8 @@ func TestStreamErrorsStopWorkers(t *testing.T) {
 	if wantValidate == nil {
 		t.Fatal("corrupted report still validates")
 	}
+	invalidRaw := encodeReports(t, invalid)
+	goodRaw := encodeReports(t, reports[:bad])
 	readErr := errors.New("disk on fire")
 
 	for _, workers := range []int{1, 2, 7} {
@@ -96,7 +93,7 @@ func TestStreamErrorsStopWorkers(t *testing.T) {
 		cfg.Workers = workers
 		t.Run(fmt.Sprintf("validate/workers%d", workers), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, _, err := AnalyzeStream(&storeSource{reports: invalid}, db, cfg, store.Interval())
+			_, _, err := AnalyzeStream(newReader(t, bytes.NewReader(invalidRaw)), db, cfg, store.Interval())
 			if err == nil || err.Error() != wantValidate.Error() {
 				t.Errorf("err = %v, want %v", err, wantValidate)
 			}
@@ -104,8 +101,8 @@ func TestStreamErrorsStopWorkers(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("source/workers%d", workers), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			src := &failingSource{storeSource: storeSource{reports: reports[:bad]}, err: readErr}
-			_, _, err := AnalyzeStream(src, db, cfg, store.Interval())
+			src := io.MultiReader(bytes.NewReader(goodRaw), failingReader{readErr})
+			_, _, err := AnalyzeStream(newReader(t, src), db, cfg, store.Interval())
 			if !errors.Is(err, readErr) || !strings.HasPrefix(err.Error(), "core: stream: ") {
 				t.Errorf("err = %v, want %q wrapping %v", err, "core: stream: ", readErr)
 			}

@@ -71,8 +71,24 @@ var errTruncated = fmt.Errorf("%w: truncated field", ErrCorrupt)
 // Any input AppendReport could not have produced yields an error wrapping
 // ErrCorrupt and a zero Report.
 func DecodeReport(data []byte) (Report, error) {
-	return (*decoder)(nil).decode(data)
+	return (*Decoder)(nil).Decode(data)
 }
+
+// ReportTime reads only a report payload's leading field, its time: the
+// Time DecodeReport returns when it accepts the payload. A payload whose
+// time field is truncated or over-long yields the error DecodeReport
+// returns for it. It lets a reader route a payload by epoch before any
+// decoder has seen the rest.
+func ReportTime(data []byte) (time.Time, error) {
+	v, n := binary.Uvarint(data)
+	if n <= 0 {
+		return time.Time{}, errTruncated
+	}
+	return unixTime(v), nil
+}
+
+// unixTime is the time a payload's time field encodes.
+func unixTime(v uint64) time.Time { return time.Unix(0, int64(v)).UTC() }
 
 const (
 	// _slabRecords is the length of one partner slab (64 KiB), which
@@ -86,19 +102,37 @@ const (
 	_maxInternedLen = 64
 )
 
-// decoder is DecodeReport's body with the allocation of a report's
+// Decoder is DecodeReport's body with the allocation of a report's
 // channel name and partner list made cheap for a stream of reports: it
 // cuts each partner list from a shared slab, with capacity equal to its
 // length so an append to one list cannot reach the next, and it interns
 // channel names, up to _maxInterned of them and _maxInternedLen bytes
-// each. A nil *decoder allocates both per report, as DecodeReport does.
-// A decoder is not safe for concurrent use.
-type decoder struct {
-	slab  []PartnerRecord   // the unused tail of the current slab
-	names map[string]string // interned channel names
+// each. A nil *Decoder allocates both per report, as DecodeReport does.
+// The Reader, each LoadStore worker and each core.AnalyzeStream worker
+// decode with one. A Decoder is not safe for concurrent use.
+type Decoder struct {
+	slab    []PartnerRecord   // the unused tail of the current slab
+	names   map[string]string // interned channel names
+	recycle bool              // set by Rewind: keep every slab in slabs
+	slabs   [][]PartnerRecord // the slabs kept for reuse, in cutting order
+	next    int               // slabs[next] is the next kept slab to cut from
 }
 
-func (d *decoder) decode(data []byte) (Report, error) {
+// Rewind lets the decoder cut partner lists from the start of its slabs
+// again: every partner list it has returned may be overwritten by the
+// next Decode, so the caller must be done with them. From its first
+// Rewind on, a decoder keeps the slabs it cuts, and one rewound before
+// each batch of reports allocates partner storage only for a batch that
+// needs more than any batch before it.
+func (d *Decoder) Rewind() {
+	d.recycle = true
+	d.slab, d.next = nil, 0
+}
+
+// Decode decodes one report payload produced by AppendReport, as
+// DecodeReport does. The report's partner list is cut from the
+// decoder's slab and its channel name may be shared with other reports.
+func (d *Decoder) Decode(data []byte) (Report, error) {
 	var head [4]uint64 // time, address, port, channel length
 	rest, ok := uvarints(data, head[:])
 	if !ok {
@@ -109,7 +143,7 @@ func (d *decoder) decode(data []byte) (Report, error) {
 		return Report{}, fmt.Errorf("%w: channel length %d with %d bytes left", ErrCorrupt, n, len(rest))
 	}
 	r := Report{
-		Time:    time.Unix(0, int64(head[0])).UTC(),
+		Time:    unixTime(head[0]),
 		Addr:    isp.Addr(head[1]),
 		Port:    uint16(head[2]),
 		Channel: d.channel(rest[:n]),
@@ -156,7 +190,7 @@ func (d *decoder) decode(data []byte) (Report, error) {
 }
 
 // channel returns b as a string, interned when d has room.
-func (d *decoder) channel(b []byte) string {
+func (d *Decoder) channel(b []byte) string {
 	if d == nil {
 		return string(b)
 	}
@@ -175,16 +209,29 @@ func (d *decoder) channel(b []byte) string {
 
 // partners returns a list of n records, cut from the slab when d is
 // non-nil.
-func (d *decoder) partners(n int) []PartnerRecord {
+func (d *Decoder) partners(n int) []PartnerRecord {
 	if d == nil {
 		return make([]PartnerRecord, n)
 	}
 	if len(d.slab) < n {
-		d.slab = make([]PartnerRecord, _slabRecords)
+		d.slab = d.nextSlab()
 	}
 	list := d.slab[:n:n]
 	d.slab = d.slab[n:]
 	return list
+}
+
+// nextSlab returns a whole slab to cut from: the next kept one, or a new
+// one, which a decoder that has been rewound keeps.
+func (d *Decoder) nextSlab() []PartnerRecord {
+	if !d.recycle {
+		return make([]PartnerRecord, _slabRecords)
+	}
+	if d.next == len(d.slabs) {
+		d.slabs = append(d.slabs, make([]PartnerRecord, _slabRecords))
+	}
+	d.next++
+	return d.slabs[d.next-1]
 }
 
 // uvarints decodes len(dst) consecutive uvarints from the front of b and
@@ -239,13 +286,13 @@ func (w *Writer) Submit(r Report) error {
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // Reader streams reports from the binary format. It decodes with one
-// decoder, so the reports it returns share partner slabs and channel
+// Decoder, so the reports it returns share partner slabs and channel
 // names with one another.
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
 	off int64 // bytes consumed: the header and every whole frame read
-	dec decoder
+	dec Decoder
 }
 
 // NewReader validates the header and returns a streaming reader. A
@@ -281,18 +328,19 @@ func NewReader(r io.Reader) (*Reader, error) {
 // error wraps io.ErrUnexpectedEOF, so no reader loop takes it for a
 // clean end.
 func (r *Reader) Next() (Report, error) {
-	buf, err := r.readFrame(r.buf[:0])
+	buf, err := r.AppendFrame(r.buf[:0])
 	r.buf = buf
 	if err != nil {
 		return Report{}, err
 	}
-	return r.dec.decode(buf)
+	return r.dec.Decode(buf)
 }
 
-// readFrame is the one frame loop: it reads the next frame and appends
-// its payload to buf. At a clean end of stream it returns buf and
-// io.EOF; on any other error it returns buf as it was.
-func (r *Reader) readFrame(buf []byte) ([]byte, error) {
+// AppendFrame is the one frame loop: it reads the next frame and appends
+// its payload, undecoded, to buf. At a clean end of stream it returns
+// buf and io.EOF; on any other error, the one Next would return, it
+// returns buf as it was.
+func (r *Reader) AppendFrame(buf []byte) ([]byte, error) {
 	head, err := r.br.Peek(binary.MaxVarintLen64)
 	if len(head) == 0 && err == io.EOF {
 		return buf, io.EOF
@@ -415,7 +463,7 @@ func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 func (r *Reader) fill(c *chunk) error {
 	c.data, c.ends = c.data[:0], c.ends[:0]
 	for len(c.data) < _chunkBytes {
-		data, err := r.readFrame(c.data)
+		data, err := r.AppendFrame(c.data)
 		if err != nil {
 			return err
 		}
@@ -429,12 +477,12 @@ func (r *Reader) fill(c *chunk) error {
 // with its own decoder until jobs is closed.
 func decodeChunks(wg *sync.WaitGroup, jobs <-chan *chunk) {
 	defer wg.Done()
-	var d decoder
+	var d Decoder
 	for c := range jobs {
 		c.reports, c.err = c.reports[:0], nil
 		start := 0
 		for _, end := range c.ends {
-			rep, err := d.decode(c.data[start:end])
+			rep, err := d.Decode(c.data[start:end])
 			if err != nil {
 				c.err = err
 				break

@@ -90,15 +90,34 @@ func decodeReportReference(data []byte) (out Report, err error) {
 type referenceCorrupt struct{ err error }
 
 // checkDecodersAgree is the differential property: DecodeReport, the
-// Reader's slab decoder d and the reference decoder return the same
-// report, or all return ErrCorrupt. A partner list d cuts from its slab
-// must end at its own length, so an append to it cannot reach the next
-// report's partners.
-func checkDecodersAgree(t *testing.T, d *decoder, data []byte) {
+// slab decoder d and the reference decoder return the same report, or
+// all return ErrCorrupt. A partner list d cuts from its slab must end at
+// its own length, so an append to it cannot reach the next report's
+// partners. ReportTime, which core.AnalyzeStream routes a payload by
+// before a worker decodes it, must give DecodeReport's time and its
+// validation verdict on every payload DecodeReport accepts, and its
+// error on every payload whose time field is malformed.
+func checkDecodersAgree(t *testing.T, d *Decoder, data []byte) {
 	t.Helper()
 	got, err := DecodeReport(data)
-	slab, slabErr := d.decode(data)
+	slab, slabErr := d.Decode(data)
 	want, refErr := decodeReportReference(data)
+	at, atErr := ReportTime(data)
+	if _, n := binary.Uvarint(data); n <= 0 {
+		if atErr == nil || err == nil || atErr.Error() != err.Error() {
+			t.Fatalf("%x: malformed time field: ReportTime err %v, DecodeReport err %v", data, atErr, err)
+		}
+	} else if atErr != nil {
+		t.Fatalf("%x: ReportTime rejected a well-formed time field: %v", data, atErr)
+	}
+	if err == nil {
+		routed := got
+		routed.Time = at
+		if at != got.Time || fmt.Sprint(routed.Validate()) != fmt.Sprint(got.Validate()) {
+			t.Fatalf("%x: ReportTime %v (validation %v), DecodeReport %v (validation %v)",
+				data, at, routed.Validate(), got.Time, got.Validate())
+		}
+	}
 	switch {
 	case err != nil && refErr != nil && slabErr != nil:
 		if !errors.Is(err, ErrCorrupt) || !errors.Is(refErr, ErrCorrupt) || !errors.Is(slabErr, ErrCorrupt) {
@@ -196,7 +215,7 @@ func TestDecodeReportAllocs(t *testing.T) {
 // partner-count limits; FuzzDecodeReport explores beyond.
 func TestDecodeReportMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var d decoder
+	var d Decoder
 	for i := 0; i < 200; i++ {
 		r := randomReport(rng)
 		data := AppendReport(nil, &r)

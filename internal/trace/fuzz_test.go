@@ -14,11 +14,12 @@ import (
 // FuzzDecodeReport is the native fuzz target for the wire decoder. CI
 // runs it in smoke mode (`go test -run Fuzz ./internal/trace`, seed
 // corpus only); `go test -fuzz=FuzzDecodeReport ./internal/trace`
-// explores from there. Beyond not panicking, DecodeReport and the
-// Reader's slab decoder must agree with the reference decoder (the same
-// report, or ErrCorrupt from all three), and any accepted input must
-// survive a re-encode/re-decode round trip unchanged — the property the
-// epoch store relies on when it rewrites trace files.
+// explores from there. Beyond not panicking, DecodeReport and the slab
+// decoder must agree with the reference decoder (the same report, or
+// ErrCorrupt from all three), ReportTime must agree with DecodeReport
+// (see checkDecodersAgree), and any accepted input must survive a
+// re-encode/re-decode round trip unchanged — the property the epoch
+// store relies on when it rewrites trace files.
 func FuzzDecodeReport(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
@@ -45,9 +46,14 @@ func FuzzDecodeReport(f *testing.F) {
 	nan.DownKbps = math.NaN()
 	f.Add(AppendReport(nil, &nan)) // a float no == accepts
 
-	// One slab decoder across inputs, as a Reader keeps one.
-	var d decoder
+	// One slab decoder across inputs, rewound every eighth input as a
+	// stream worker rewinds its decoder before each epoch.
+	var d Decoder
+	inputs := 0
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if inputs++; inputs%8 == 0 {
+			d.Rewind()
+		}
 		checkDecodersAgree(t, &d, data)
 		rep, err := DecodeReport(data)
 		if err != nil {

@@ -171,15 +171,15 @@ func TestReaderAllocsPerReport(t *testing.T) {
 // correctly and fill the intern table only to its bound, and a name
 // longer than the interned length is never kept.
 func TestDecoderInternBound(t *testing.T) {
-	var d decoder
+	var d Decoder
 	r := sampleReport(7, _t0)
 	r.Channel = strings.Repeat("x", _maxInternedLen+1)
-	if _, err := d.decode(AppendReport(nil, &r)); err != nil || len(d.names) != 0 {
+	if _, err := d.Decode(AppendReport(nil, &r)); err != nil || len(d.names) != 0 {
 		t.Fatalf("a %d-byte name: err %v, %d names interned, want none", len(r.Channel), err, len(d.names))
 	}
 	for i := 0; i < 10000; i++ {
 		r.Channel = fmt.Sprintf("channel-%05d", i)
-		got, err := d.decode(AppendReport(nil, &r))
+		got, err := d.Decode(AppendReport(nil, &r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +189,59 @@ func TestDecoderInternBound(t *testing.T) {
 	}
 	if len(d.names) != _maxInterned {
 		t.Errorf("intern table holds %d names, want its bound %d", len(d.names), _maxInterned)
+	}
+}
+
+// TestDecoderRewindReusesSlabs: a decoder rewound before each batch of
+// reports decodes every batch as DecodeReport does, and once its slabs
+// have grown to the largest batch it allocates nothing.
+func TestDecoderRewindReusesSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var payloads [][]byte
+	for i := 0; i < 600; i++ {
+		r := randomReport(rng)
+		payloads = append(payloads, AppendReport(nil, &r))
+	}
+	var d Decoder
+	batch := func(payloads [][]byte) []Report {
+		d.Rewind()
+		var out []Report
+		for _, p := range payloads {
+			rep, err := d.Decode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rep)
+		}
+		return out
+	}
+	batch(payloads)
+	small := batch(payloads[:100]) // overwritten by the next batch
+	small = slices.Clone(small)
+	for i := range small {
+		small[i].Partners = slices.Clone(small[i].Partners)
+	}
+	got := batch(payloads[300:])
+	for i, p := range payloads[300:] {
+		if want, _ := DecodeReport(p); !sameReport(got[i], want) {
+			t.Fatalf("report %d after a rewind differs from DecodeReport's", i)
+		}
+	}
+	for i, p := range payloads[:100] {
+		if want, _ := DecodeReport(p); !sameReport(small[i], want) {
+			t.Fatalf("report %d of the smaller batch differs from DecodeReport's", i)
+		}
+	}
+	warm := func() {
+		d.Rewind()
+		for _, p := range payloads {
+			if _, err := d.Decode(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := allocguard.Count(5, warm); n != 0 {
+		t.Errorf("5 rewound batches of %d reports allocated %d objects, want 0", len(payloads), n)
 	}
 }
 

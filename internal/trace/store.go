@@ -36,6 +36,14 @@ type Store struct {
 	journal *obs.Journal
 }
 
+// _epochHeadroom sizes a newly opened epoch: it starts with room for the
+// n reports the epoch opened before it holds by then, plus
+// n/_epochHeadroom (a quarter), instead of regrowing from empty.
+// Consecutive epochs hold about as many reports; with room for n alone,
+// every epoch larger than its predecessor regrew, 106 of the 214 in the
+// seed-11 analyze-36h trace.
+const _epochHeadroom = 4
+
 // NewStore builds a store with the given epoch interval (0 means
 // DefaultReportInterval).
 func NewStore(interval time.Duration) *Store {
@@ -95,10 +103,8 @@ func (s *Store) Submit(r Report) error {
 	s.mu.Lock()
 	list, ok := s.epochs[e]
 	if !ok {
-		// Consecutive epochs hold about as many reports, so a new
-		// epoch starts with room for what the last one opened holds
-		// now, instead of regrowing from empty.
-		list = make([]Report, 0, len(s.epochs[s.opened]))
+		n := len(s.epochs[s.opened])
+		list = make([]Report, 0, n+n/_epochHeadroom)
 		s.opened = e
 	}
 	s.epochs[e] = append(list, r)
