@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -56,10 +57,19 @@ func run(args []string) error {
 		return nil
 	}
 
+	// core.Config reads a zero threshold as its default (10), and the
+	// value is narrowed to 32 bits, so 0 and anything past 2³²−1 would
+	// silently analyze at another threshold.
+	if *threshold == 0 || *threshold > math.MaxUint32 {
+		return fmt.Errorf("-threshold %d is out of range: want 1 to %d segments", *threshold, uint32(math.MaxUint32))
+	}
 	tracePaths := strings.Split(*tracePath, ",")
 	if *streaming {
 		if len(tracePaths) > 1 {
 			return fmt.Errorf("-stream analyzes a single trace; merge shard files without -stream")
+		}
+		if *tolerant {
+			return fmt.Errorf("-tolerant needs the merging loader; drop -stream")
 		}
 		if *fprint {
 			return fmt.Errorf("-fingerprint needs the sealed index; drop -stream")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +99,28 @@ func TestAnalyzeMissingInputs(t *testing.T) {
 	tracePath, _ := writeArtifacts(t, dir)
 	if err := run([]string{"-trace", tracePath, "-ispdb", "/nonexistent.ispdb"}); err == nil {
 		t.Error("missing ispdb accepted")
+	}
+}
+
+// TestAnalyzeRejectsIgnoredFlags: a flag value the analysis would
+// otherwise ignore or replace — -tolerant under -stream, a -threshold of
+// 0 or one that wraps to 0 in 32 bits, both of which core.Config reads
+// as its default — is an error naming the flag, returned before any
+// file is opened (none of these paths exists).
+func TestAnalyzeRejectsIgnoredFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-tolerant", []string{"-stream", "-tolerant"}},
+		{"-threshold", []string{"-threshold", "0"}},
+		{"-threshold", []string{"-threshold", "4294967296"}},
+	} {
+		err := run(append([]string{"-trace", missing + ".trace", "-ispdb", missing + ".ispdb"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run %v = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func summarize(out io.Writer, rd *trace.Reader, topN int) error {
 		peers[rep.Addr] = struct{}{}
 		channels[rep.Channel]++
 		partnerTotal += len(rep.Partners)
-		epochs[rep.Time.UnixNano()/int64(trace.DefaultReportInterval)] = struct{}{}
+		epochs[trace.EpochOf(rep.Time, trace.DefaultReportInterval)] = struct{}{}
 	}
 	if count == 0 {
 		return fmt.Errorf("trace holds no reports")

@@ -205,7 +205,7 @@ func loadReplaySet(path string, interval time.Duration) ([]trace.Report, error) 
 				continue
 			}
 			reports = append(reports, trace.Report{
-				Time:    time.Unix(0, ev.ID.Epoch*int64(interval)).UTC(),
+				Time:    trace.EpochStart(ev.ID.Epoch, interval),
 				Addr:    isp.Addr(ev.ID.Addr),
 				Channel: ev.ID.Channel,
 			})

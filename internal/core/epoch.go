@@ -48,7 +48,7 @@ func NewEpochView(store *trace.Store, epoch int64) EpochView {
 func NewIndexedEpochView(ix *trace.Index, epoch int64) EpochView {
 	return EpochView{
 		Epoch:   epoch,
-		Start:   ix.EpochStart(epoch),
+		Start:   trace.EpochStart(epoch, ix.Interval()),
 		reports: ix.Reports(epoch),
 		addrs:   ix.Reporters(epoch),
 		all:     ix.AllPeers(epoch),

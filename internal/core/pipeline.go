@@ -112,11 +112,6 @@ func (c Config) sanitize(epochCount int) Config {
 	return c
 }
 
-// epochStartOf returns the instant an epoch begins, in UTC.
-func epochStartOf(interval time.Duration, epoch int64) time.Time {
-	return time.Unix(0, epoch*int64(interval)).UTC()
-}
-
 // snapshotLabels maps each spec's epoch (instant over interval) to its
 // label — the lookup the kernel keys Fig. 4 snapshot production on.
 // Later specs mapping to the same epoch win, matching the historical
@@ -124,7 +119,7 @@ func epochStartOf(interval time.Duration, epoch int64) time.Time {
 func snapshotLabels(interval time.Duration, specs []SnapshotSpec) map[int64]string {
 	m := make(map[int64]string, len(specs))
 	for _, spec := range specs {
-		m[spec.Time.UnixNano()/int64(interval)] = spec.Label
+		m[trace.EpochOf(spec.Time, interval)] = spec.Label
 	}
 	return m
 }
@@ -146,7 +141,7 @@ func fallbackSnapshots(interval time.Duration, epochs []int64) []SnapshotSpec {
 			continue
 		}
 		seen[e] = struct{}{}
-		start := epochStartOf(interval, e)
+		start := trace.EpochStart(e, interval)
 		out = append(out, SnapshotSpec{
 			Label: start.In(workload.Beijing).Format("15:04 01/02"),
 			Time:  start,
@@ -166,7 +161,7 @@ func resolveSnapshots(interval time.Duration, epochs []int64, specs []SnapshotSp
 		present[e] = struct{}{}
 	}
 	for _, spec := range specs {
-		if _, ok := present[spec.Time.UnixNano()/int64(interval)]; ok {
+		if _, ok := present[trace.EpochOf(spec.Time, interval)]; ok {
 			return specs
 		}
 	}

@@ -36,7 +36,7 @@ func onlineKernel(interval time.Duration, db *isp.Database, cfg Config) *kernel 
 // aliases the builder's buffers.
 func columnsView(interval time.Duration, epoch int64, cols *trace.EpochColumns) EpochView {
 	reports, addrs, all := cols.Columns()
-	return EpochView{Epoch: epoch, Start: epochStartOf(interval, epoch), reports: reports, addrs: addrs, all: all}
+	return EpochView{Epoch: epoch, Start: trace.EpochStart(epoch, interval), reports: reports, addrs: addrs, all: all}
 }
 
 // pool is the one ordered kernel pool, behind Analyze, BatchEpochMetrics

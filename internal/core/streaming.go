@@ -116,7 +116,7 @@ func (s *streamReader) route(payload []byte, ref frameRef) error {
 	if err != nil {
 		return err
 	}
-	ef := s.epochs.Observe(0, at.UnixNano()/int64(s.interval), s.send)
+	ef := s.epochs.Observe(0, trace.EpochOf(at, s.interval), s.send)
 	if ef == nil {
 		s.dec.Rewind()
 		_, err := s.dec.Decode(payload)

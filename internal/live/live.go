@@ -202,7 +202,7 @@ func (a *Analyzer) Observe(shard int, r trace.Report) {
 	// A shard index outside the configured fan-in would deadlock the
 	// watermark if honored and corrupt it if clamped; the closer drops it
 	// with accounting, like any other report the plane cannot place.
-	fl := a.epochs.Observe(shard, r.Time.UnixNano()/int64(a.interval), a.finalizeLocked)
+	fl := a.epochs.Observe(shard, trace.EpochOf(r.Time, a.interval), a.finalizeLocked)
 	if fl == nil {
 		return
 	}
@@ -324,7 +324,7 @@ func (a *Analyzer) inFlightLocked() []InFlightEpoch {
 	a.epochs.Each(func(e int64, fl *inflight) {
 		out = append(out, InFlightEpoch{
 			Epoch: e,
-			Start: time.Unix(0, e*int64(a.interval)).UTC(),
+			Start: trace.EpochStart(e, a.interval),
 			Peers: fl.cols.Len(),
 			Edges: fl.edges,
 		})

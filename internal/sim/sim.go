@@ -477,7 +477,7 @@ func (s *Simulation) emitReport(p *protocol.Peer, now time.Time) {
 		id = obs.ReportID{
 			Addr:    uint32(addr),
 			Channel: p.Channel,
-			Epoch:   now.UnixNano() / int64(trace.DefaultReportInterval),
+			Epoch:   trace.EpochOf(now, trace.DefaultReportInterval),
 			Seq:     s.seqs[addr],
 		}
 		s.journal.Record(now.UnixNano(), obs.StageEmit, obs.VerdictEmitted, id)

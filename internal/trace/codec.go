@@ -390,20 +390,33 @@ type chunk struct {
 	done    chan struct{}
 }
 
-// LoadStore reads a whole binary trace stream into a Store. The caller's
-// goroutine reads the frames, as Next does, in chunks of about
-// _chunkBytes; GOMAXPROCS workers decode the chunks, each with its own
-// decoder; and the caller submits every chunk's reports to the store in
-// stream order. The store, and the first error in stream order — a frame
-// that cannot be read, a record that cannot be decoded, a report the
-// store rejects — are those a loop of Next and Submit gives. Every worker
-// has exited when LoadStore returns.
+// LoadStore reads a whole binary trace stream into a Store. Its loop is
+// the one that submits trace files to a store: MergeStreams loads every
+// source through it too. The caller's goroutine reads the frames, as
+// Next does, in chunks of about _chunkBytes; GOMAXPROCS workers decode
+// the chunks, each with its own decoder; and the caller submits every
+// chunk's reports to the store in stream order. The store, and the first
+// error in stream order — a frame that cannot be read, a record that
+// cannot be decoded, a report the store rejects — are those a loop of
+// Next and Submit gives. Every worker has exited when LoadStore returns.
 func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 	rd, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
 	store := NewStore(interval)
+	if err := rd.load(store, nil); err != nil {
+		return nil, err
+	}
+	return store, nil
+}
+
+// load is LoadStore's body: it submits the rest of r's stream to store
+// and returns the first error in stream order. With tolerant non-nil it
+// survives damage and counts it there instead: a report the store
+// rejects is skipped and counted in InvalidRecords, and a frame that
+// cannot be read or decoded ends the stream, counted in TornSources.
+func (r *Reader) load(store *Store, tolerant *MergeStats) error {
 	workers := runtime.GOMAXPROCS(0)
 	// jobs holds every chunk in flight, so the send below never blocks:
 	// the loop keeps at most cap(jobs) chunks pending, two per worker so
@@ -420,9 +433,9 @@ func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 	}()
 
 	var pending, spare []*chunk // chunks in flight, in stream order; chunks to refill
-	var readErr error
+	var streamErr error         // what ended the stream: io.EOF at a clean end
 	for {
-		for readErr == nil && len(pending) < cap(jobs) {
+		for streamErr == nil && len(pending) < cap(jobs) {
 			var c *chunk
 			if n := len(spare); n > 0 {
 				c, spare = spare[n-1], spare[:n-1]
@@ -431,7 +444,7 @@ func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 				// chunk's buffer is sized once.
 				c = &chunk{data: make([]byte, 0, _chunkBytes*5/4), done: make(chan struct{}, 1)}
 			}
-			if readErr = rd.fill(c); len(c.ends) > 0 {
+			if streamErr = r.fill(c); len(c.ends) > 0 {
 				pending = append(pending, c)
 				jobs <- c
 			}
@@ -444,18 +457,26 @@ func LoadStore(src io.Reader, interval time.Duration) (*Store, error) {
 		pending = append(pending[:0], pending[1:]...)
 		for i := range c.reports {
 			if err := store.Submit(c.reports[i]); err != nil {
-				return nil, err
+				if tolerant == nil {
+					return err
+				}
+				tolerant.InvalidRecords++
 			}
 		}
 		if c.err != nil {
-			return nil, c.err
+			streamErr = c.err // it precedes every frame read after it
+			break
 		}
 		spare = append(spare, c)
 	}
-	if readErr != io.EOF {
-		return nil, readErr
+	switch {
+	case streamErr == io.EOF:
+		return nil
+	case tolerant == nil:
+		return streamErr
 	}
-	return store, nil
+	tolerant.TornSources++
+	return nil
 }
 
 // fill reads frames into c until it holds _chunkBytes of payload, and

@@ -320,11 +320,6 @@ func (ix *Index) Epochs() []int64 {
 	return slices.Clone(ix.epochs)
 }
 
-// EpochStart returns the instant an epoch begins, in UTC.
-func (ix *Index) EpochStart(epoch int64) time.Time {
-	return time.Unix(0, epoch*int64(ix.interval)).UTC()
-}
-
 // Reports returns the epoch's latest-by-peer reports sorted by address
 // (a shared sub-slice; read-only). Empty for unknown epochs.
 func (ix *Index) Reports(epoch int64) []Report {

@@ -65,8 +65,8 @@ func TestIndexMatchesLegacyAccessors(t *testing.T) {
 					e, a, got.PlayPoint, got.Time, want.PlayPoint, want.Time)
 			}
 		}
-		if got, want := ix.EpochStart(e), s.EpochStart(e); !got.Equal(want) {
-			t.Errorf("epoch %d start %v, want %v", e, got, want)
+		if start := EpochStart(e, ix.Interval()); EpochOf(start, s.Interval()) != e {
+			t.Errorf("epoch %d starts at %v, which the store buckets into epoch %d", e, start, EpochOf(start, s.Interval()))
 		}
 
 		all := ix.AllPeers(e)

@@ -49,11 +49,13 @@ func frameStream(payloads [][]byte) []byte {
 	return raw
 }
 
-// TestLoadStoreFirstError places each kind of fault early in the stream,
-// in the middle of a decode chunk and in the last chunk; LoadStore must
-// return the error the sequential loop returns, and leave no worker
-// running.
-func TestLoadStoreFirstError(t *testing.T) {
+// faultyStreams is the fault fixture of TestLoadStoreFirstError and
+// TestMergeMatchesReference: 3,000 random reports, the frames to place a
+// fault at — early in the stream, in the middle of a decode chunk and in
+// the last chunk — and each kind of fault, as a function building the
+// reports' stream with that fault at a given frame.
+func faultyStreams(t *testing.T) (places map[string]int, faults map[string]func(at int) []byte) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	payloads := make([][]byte, 3000)
 	for i := range payloads {
@@ -72,7 +74,7 @@ func TestLoadStoreFirstError(t *testing.T) {
 	if len(chunkStarts) < 4 {
 		t.Fatalf("fixture spans %d chunks, want at least 4", len(chunkStarts))
 	}
-	places := map[string]int{
+	places = map[string]int{
 		"early":      2,
 		"mid_chunk":  (chunkStarts[2] + chunkStarts[3]) / 2,
 		"last_chunk": len(payloads) - 3,
@@ -83,7 +85,7 @@ func TestLoadStoreFirstError(t *testing.T) {
 
 	zero := randomReport(rng)
 	zero.Addr = 0
-	faults := map[string]func(at int) []byte{
+	faults = map[string]func(at int) []byte{
 		"torn_tail": func(at int) []byte {
 			raw := frameStream(payloads[:at+1])
 			return raw[:len(raw)-len(payloads[at])/2]
@@ -104,6 +106,15 @@ func TestLoadStoreFirstError(t *testing.T) {
 			return frameStream(bad)
 		},
 	}
+	return places, faults
+}
+
+// TestLoadStoreFirstError places each kind of fault early in the stream,
+// in the middle of a decode chunk and in the last chunk; LoadStore must
+// return the error the sequential loop returns, and leave no worker
+// running.
+func TestLoadStoreFirstError(t *testing.T) {
+	places, faults := faultyStreams(t)
 	for fname, fault := range faults {
 		for pname, at := range places {
 			raw := fault(at)

@@ -1,14 +1,12 @@
 package trace
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +20,9 @@ import (
 // fixed hash (ShardOf), so every report of one peer always lands on the
 // same shard regardless of fleet size, and per-peer arrival order is
 // preserved shard-locally. MergeStores/MergeFiles fold per-shard
-// stores/files back into one canonical store whose sealed index — and
-// therefore every analysis output bit — is identical to a single-server
-// run, for any shard count.
+// stores/files back into one canonical store, in shard order, whose
+// sealed index — and therefore every analysis output bit — is identical
+// to a single-server run, for any shard count.
 
 // shardHash is the fixed partitioning hash: FNV-1a over the address's
 // four big-endian bytes. It is part of the ingest tier's wire contract —
@@ -139,15 +137,14 @@ func (c *ShardedClient) Close() error {
 	return firstErr
 }
 
-// MergeStores folds per-shard stores into one canonical store. Within
-// each epoch the merged order is (address ascending, then per-address
-// arrival order) — a stable sort over the shard-order concatenation.
-// Because the partitioner owns each address wholly on one shard, the
-// per-address subsequence is exactly the single-server arrival
-// subsequence, so the merged store's sealed index (latest-by-peer
-// dedup, then address sort) is byte-identical to a single-server run's
-// — and to any other shard count's merge. That is the determinism
-// argument the golden-equivalence suite pins.
+// MergeStores folds per-shard stores into one canonical store: it
+// submits each shard's reports, in shard order, through Store.DumpTo, so
+// each epoch lists its reports, and each address its reports, in shard
+// order, then arrival order. The partitioner owns each address wholly on
+// one shard, so that is the single-server order of the address's
+// reports, and the merged store's sealed index (latest-by-peer dedup,
+// then address sort) is byte-identical to a single-server run's — and to
+// any other shard count's merge. The golden-equivalence suite pins it.
 func MergeStores(shards ...*Store) (*Store, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("trace: merge of zero shards")
@@ -160,31 +157,9 @@ func MergeStores(shards ...*Store) (*Store, error) {
 		}
 	}
 	out := NewStore(interval)
-
-	seen := make(map[int64]struct{})
-	var epochs []int64
-	for _, sh := range shards {
-		for _, e := range sh.Epochs() {
-			if _, dup := seen[e]; !dup {
-				seen[e] = struct{}{}
-				epochs = append(epochs, e)
-			}
-		}
-	}
-	slices.Sort(epochs)
-
-	byAddr := func(a, b Report) int { return cmp.Compare(a.Addr, b.Addr) }
-	var buf []Report
-	for _, e := range epochs {
-		buf = buf[:0]
-		for _, sh := range shards {
-			buf = append(buf, sh.Snapshot(e).Reports...)
-		}
-		slices.SortStableFunc(buf, byAddr)
-		for i := range buf {
-			if err := out.Submit(buf[i]); err != nil {
-				return nil, fmt.Errorf("trace: merge epoch %d: %w", e, err)
-			}
+	for i, sh := range shards {
+		if err := sh.DumpTo(out); err != nil {
+			return nil, fmt.Errorf("trace: merge shard %d: %w", i, err)
 		}
 	}
 	return out, nil
@@ -194,11 +169,11 @@ func MergeStores(shards ...*Store) (*Store, error) {
 type MergeOptions struct {
 	// Tolerant makes the merge survive damaged shard inputs instead of
 	// failing: a source that is not a binary trace at all is skipped
-	// (counted), a torn tail ends that source at its last intact record
-	// (counted), and a decoded record failing validation is dropped
-	// (counted). Compaction of files recovered from crashed or lossy
-	// shard servers wants this; strict mode (the default) treats every
-	// anomaly as an error.
+	// (counted), a frame that cannot be read or decoded — a torn tail or
+	// corruption — ends that source at its last intact record (counted),
+	// and a report the store rejects is dropped (counted). Compaction of
+	// files recovered from crashed or lossy shard servers wants this;
+	// strict mode (the default) treats every anomaly as an error.
 	Tolerant bool
 }
 
@@ -209,72 +184,46 @@ type MergeStats struct {
 	// Records is the number of reports merged into the store.
 	Records uint64
 	// SkippedSources counts inputs that were not binary traces (bad
-	// magic or unsupported version) and were skipped whole.
+	// magic, unsupported version or a torn header) and were skipped
+	// whole.
 	SkippedSources int
-	// TornSources counts inputs that ended inside a record; their intact
-	// prefix was merged.
+	// TornSources counts inputs that ended at a frame that could not be
+	// read or decoded; their intact prefix was merged.
 	TornSources int
-	// InvalidRecords counts structurally decodable records that failed
-	// validation and were dropped.
+	// InvalidRecords counts decoded reports that failed validation
+	// (Store.Submit rejected them) and were dropped.
 	InvalidRecords uint64
 }
 
-// MergeStreams reads one binary trace stream per shard (in shard order)
-// and merges them into one canonical store; see MergeStores for the
-// determinism argument and MergeOptions for fault tolerance.
+// MergeStreams loads one binary trace stream per shard, in shard order,
+// into one store through LoadStore's loop: the store MergeStores gives
+// over the sources' own stores. See MergeOptions for fault tolerance; a
+// strict merge returns the first error of the first failing source.
 func MergeStreams(interval time.Duration, opts MergeOptions, srcs ...io.Reader) (*Store, MergeStats, error) {
 	stats := MergeStats{Sources: len(srcs)}
-	shards := make([]*Store, 0, len(srcs))
+	var tolerant *MergeStats
+	if opts.Tolerant {
+		tolerant = &stats
+	}
+	// With every source skipped (or none offered) the merge is the empty
+	// store, not an error: a fleet whose shards all crashed pre-header
+	// still compacts to a valid (empty) trace.
+	store := NewStore(interval)
 	for i, src := range srcs {
-		sh := NewStore(interval)
 		rd, err := NewReader(src)
-		if err != nil {
-			if !opts.Tolerant {
-				return nil, stats, fmt.Errorf("trace: merge source %d: %w", i, err)
-			}
+		switch {
+		case err == nil:
+			err = rd.load(store, tolerant)
+			stats.Records = uint64(store.Len())
+		case opts.Tolerant:
 			stats.SkippedSources++
 			continue
 		}
-		for {
-			rep, err := rd.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				// A mid-stream decode failure is a torn tail (crash) or
-				// corruption; either way the records before it are good
-				// and the ones after it are unreachable.
-				if !opts.Tolerant {
-					return nil, stats, fmt.Errorf("trace: merge source %d: %w", i, err)
-				}
-				stats.TornSources++
-				break
-			}
-			if err := rep.Validate(); err != nil {
-				if !opts.Tolerant {
-					return nil, stats, fmt.Errorf("trace: merge source %d: %w", i, err)
-				}
-				stats.InvalidRecords++
-				continue
-			}
-			if err := sh.Submit(rep); err != nil {
-				return nil, stats, fmt.Errorf("trace: merge source %d: %w", i, err)
-			}
-			stats.Records++
+		if err != nil {
+			return nil, stats, fmt.Errorf("trace: merge source %d: %w", i, err)
 		}
-		shards = append(shards, sh)
 	}
-	if len(shards) == 0 {
-		// All sources skipped (or none offered): the merge of nothing is
-		// the empty store, not an error — a fleet whose shards all
-		// crashed pre-header still compacts to a valid (empty) trace.
-		return NewStore(interval), stats, nil
-	}
-	out, err := MergeStores(shards...)
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	return store, stats, nil
 }
 
 // MergeFiles is MergeStreams over per-shard trace files, in shard

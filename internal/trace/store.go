@@ -77,21 +77,22 @@ func journalID(r *Report, interval time.Duration) obs.ReportID {
 	return obs.ReportID{
 		Addr:    uint32(r.Addr),
 		Channel: r.Channel,
-		Epoch:   r.Time.UnixNano() / int64(interval),
+		Epoch:   EpochOf(r.Time, interval),
 	}
 }
 
 // Interval returns the epoch width.
 func (s *Store) Interval() time.Duration { return s.interval }
 
-// EpochOf maps an instant to its epoch index.
-func (s *Store) EpochOf(t time.Time) int64 {
-	return t.UnixNano() / int64(s.interval)
+// EpochOf maps an instant to its epoch of the given width: the one epoch
+// rule, which every plane that buckets reports by epoch calls.
+func EpochOf(t time.Time, interval time.Duration) int64 {
+	return t.UnixNano() / int64(interval)
 }
 
 // EpochStart returns the instant an epoch begins, in UTC.
-func (s *Store) EpochStart(epoch int64) time.Time {
-	return time.Unix(0, epoch*int64(s.interval)).UTC()
+func EpochStart(epoch int64, interval time.Duration) time.Time {
+	return time.Unix(0, epoch*int64(interval)).UTC()
 }
 
 // Submit implements Sink.
@@ -99,7 +100,7 @@ func (s *Store) Submit(r Report) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	e := s.EpochOf(r.Time)
+	e := EpochOf(r.Time, s.interval)
 	s.mu.Lock()
 	list, ok := s.epochs[e]
 	if !ok {
@@ -148,7 +149,7 @@ func (s *Store) Snapshot(epoch int64) Snapshot {
 	defer s.mu.RUnlock()
 	reports := make([]Report, len(s.epochs[epoch]))
 	copy(reports, s.epochs[epoch])
-	return Snapshot{Epoch: epoch, Start: s.EpochStart(epoch), Reports: reports}
+	return Snapshot{Epoch: epoch, Start: EpochStart(epoch, s.interval), Reports: reports}
 }
 
 // Range calls fn for each epoch in ascending order. fn receives a shared
@@ -159,15 +160,16 @@ func (s *Store) Range(fn func(epoch int64, start time.Time, reports []Report) er
 		s.mu.RLock()
 		reports := s.epochs[e]
 		s.mu.RUnlock()
-		if err := fn(e, s.EpochStart(e), reports); err != nil {
+		if err := fn(e, EpochStart(e, s.interval), reports); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DumpTo streams every stored report, epoch by epoch, into a sink —
-// typically a file Writer. It is how simulations persist traces.
+// DumpTo submits every stored report to sink, epochs ascending and each
+// epoch in arrival order, stopping at the first error. MergeStores folds
+// each shard into the merged store with it.
 func (s *Store) DumpTo(sink Sink) error {
 	return s.Range(func(_ int64, _ time.Time, reports []Report) error {
 		for _, r := range reports {

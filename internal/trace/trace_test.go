@@ -91,7 +91,7 @@ func TestStoreEpochBucketing(t *testing.T) {
 	if len(snap.Reports) != 10 {
 		t.Errorf("first epoch has %d reports, want 10", len(snap.Reports))
 	}
-	if !snap.Start.Equal(s.EpochStart(epochs[0])) {
+	if !snap.Start.Equal(EpochStart(epochs[0], s.Interval())) {
 		t.Error("snapshot start mismatch")
 	}
 }
@@ -159,8 +159,8 @@ func TestStoreRange(t *testing.T) {
 func TestStoreEpochMath(t *testing.T) {
 	s := NewStore(10 * time.Minute)
 	at := _t0.Add(47 * time.Minute)
-	e := s.EpochOf(at)
-	start := s.EpochStart(e)
+	e := EpochOf(at, s.Interval())
+	start := EpochStart(e, s.Interval())
 	if at.Before(start) || !at.Before(start.Add(s.Interval())) {
 		t.Errorf("instant %v outside its epoch [%v, +%v)", at, start, s.Interval())
 	}
